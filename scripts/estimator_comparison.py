@@ -41,10 +41,7 @@ def main():
     print(f"{'method':<12} {'p_hat':>12} {'rel err':>9} {'exact evals':>12} "
           f"{'surrogate evals':>16}")
     for name, cfg in configs:
-        g = LimitState(
-            fn=lambda t, xi: truss.limit_state(prob, args.lam, delta, xi[0]),
-            batch_fn=lambda t, xis: truss.limit_state(prob, args.lam, delta, xis[:, 0]),
-        )
+        g = LimitState(lambda t, xis: truss.limit_state(prob, args.lam, delta, xis[:, 0]))
         est = estimate(g, None, input_1d, cfg, SampleStream(args.seed, (name,)))
         rel = abs(est.p_hat - exact) / exact
         print(f"{name:<12} {est.p_hat:12.4e} {rel:8.1%} {est.n_exact_evals:12d} "

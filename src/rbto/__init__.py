@@ -20,7 +20,7 @@ from .reliability import (
     mc_estimate,
     subset_estimate,
 )
-from .sampling import Lognormal, Normal, RandomInput, SampleStream, log_pdf_u
+from .sampling import Lognormal, Normal, RandomInput, SampleStream
 from .sgd import (
     OptimizationProblem,
     OptimizerConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "hermite",
     "hybrid_estimate",
     "initial_model",
-    "log_pdf_u",
     "mc_estimate",
     "multi_indices",
     "penalty_gradient",

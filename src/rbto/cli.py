@@ -15,13 +15,14 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fem, truss
 from .reliability import (
+    EstimatorConfig,
     HybridConfig,
     McConfig,
     SubsetConfig,
@@ -36,10 +37,9 @@ class ConfigError(ValueError):
     pass
 
 
+_ESTIMATORS = {"mc": McConfig, "subset": SubsetConfig, "hybrid": HybridConfig}
 _ESTIMATOR_KEYS = {
-    "mc": {"method", "n_samples"},
-    "subset": {"method", "n_samples", "p0", "proposal_std", "max_levels"},
-    "hybrid": {"method", "n_samples", "n_fit", "pce_order", "gamma"},
+    method: {"method"} | {f.name for f in fields(cls)} for method, cls in _ESTIMATORS.items()
 }
 
 _PROBLEM_KEYS = {
@@ -50,11 +50,17 @@ _PROBLEM_KEYS = {
               "e0_std", "theta0"},
 }
 
+_INPUT_DIM = {"truss": 1, "beam": 2, "lbeam": 2}  # uncertain inputs of each problem
+
 _TOP_KEYS = {
     "problem", "mode", "seed", "iterations", "eta", "n", "m", "kappa_f",
-    "kappa_c", "p_a", "alpha0", "beta0", "eta_f", "estimator", "problem_params",
+    "p_a", "alpha0", "beta0", "eta_f", "estimator", "problem_params",
     "posthoc_samples", "out_dir", "theta",
 }
+_NUMBER_KEYS = ("iterations", "eta", "n", "m", "kappa_f", "p_a", "alpha0", "beta0",
+                "eta_f", "posthoc_samples")
+_INT_KEYS = {"iterations", "n", "m", "posthoc_samples", "n_samples", "max_levels",
+             "n_fit", "pce_order", "nx", "ny", "n_grid"}
 
 _DEFAULTS = {
     "truss": dict(
@@ -94,7 +100,8 @@ class RunConfig:
     eta_f: float
     estimator: dict
     posthoc_samples: int
-    kappa_c: tuple = ()
+    estimator_config: EstimatorConfig
+    problem_spec: truss.TrussProblem | fem.BeamConfig
     problem_params: dict = field(default_factory=dict)
     out_dir: str | None = None
     theta: object = None  # estimate subcommand: fixed design
@@ -113,6 +120,34 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _number(value, key: str, where: str = ""):
+    """value as an int or a float, by key; a ConfigError naming the key otherwise."""
+    kind = int if key in _INT_KEYS else float
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}{key} must be a number, got {value!r}") from None
+
+
+def _problem_spec(problem: str, params: dict) -> truss.TrussProblem | fem.BeamConfig:
+    """The problem's validated parameters; keys left out keep the problem's defaults."""
+    kw = {}
+    for key, value in params.items():
+        if problem == "truss" and key == "theta0":
+            _require(isinstance(value, list), "problem_params.theta0 must be a list [lam, delta]")
+            kw[key] = tuple(_number(v, key, "problem_params.") for v in value)
+        else:
+            kw[key] = _number(value, key, "problem_params.")
+    try:
+        if problem == "truss":
+            return truss.TrussProblem(**kw)
+        if problem == "beam":
+            return fem.BeamConfig(variant="rect", **kw)
+        return fem.lbeam_config(**kw)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"problem_params: {err}") from None
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -149,22 +184,22 @@ def parse_config(raw: dict) -> RunConfig:
     mode = merged.get("mode", "rbto")
     _require(mode in ("rbto", "robust"), f"mode must be 'rbto' or 'robust', got {mode!r}")
 
+    est_kw = {key: _number(v, key, "estimator.") for key, v in est.items() if key != "method"}
+    try:
+        est_cfg = _ESTIMATORS[est["method"]](**est_kw)
+        if isinstance(est_cfg, HybridConfig):
+            est_cfg.check_fit_count(_INPUT_DIM[problem])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"estimator: {err}") from None
+
     cfg = RunConfig(
         problem=problem,
         mode=mode,
         seed=merged["seed"],
-        iterations=int(merged["iterations"]),
-        eta=float(merged["eta"]),
-        n=int(merged["n"]),
-        m=int(merged["m"]),
-        kappa_f=float(merged["kappa_f"]),
-        p_a=float(merged["p_a"]),
-        alpha0=float(merged["alpha0"]),
-        beta0=float(merged["beta0"]),
-        eta_f=float(merged["eta_f"]),
+        **{key: _number(merged[key], key) for key in _NUMBER_KEYS},
         estimator=est,
-        posthoc_samples=int(merged["posthoc_samples"]),
-        kappa_c=tuple(merged.get("kappa_c", ())),
+        estimator_config=est_cfg,
+        problem_spec=_problem_spec(problem, params),
         problem_params=dict(params),
         out_dir=merged.get("out_dir"),
         theta=raw.get("theta"),
@@ -189,48 +224,11 @@ def load_config(path) -> RunConfig:
     return parse_config(raw)
 
 
-def estimator_config(est: dict):
-    method = est["method"]
-    if method == "mc":
-        return McConfig(n_samples=int(est["n_samples"]))
-    if method == "subset":
-        return SubsetConfig(
-            n_samples=int(est.get("n_samples", 500)),
-            p0=float(est.get("p0", 0.1)),
-            proposal_std=float(est.get("proposal_std", 1.0)),
-            max_levels=int(est.get("max_levels", 20)),
-        )
-    return HybridConfig(
-        gamma=float(est["gamma"]),
-        n_samples=int(est["n_samples"]),
-        n_fit=int(est.get("n_fit", 100)),
-        pce_order=int(est.get("pce_order", 4)),
-    )
-
-
 def build_problem(cfg: RunConfig):
     """Returns (OptimizationProblem, context) for the configured example."""
-    params = cfg.problem_params
     if cfg.problem == "truss":
-        spec = truss.TrussProblem(
-            c0=float(params.get("c0", 100.0)),
-            p_load=float(params.get("p_load", 1.0)),
-        )
-        theta0 = params.get("theta0", (0.1, np.pi / 4))
-        return truss.make_problem(spec, theta0=theta0), spec
-    common = {k: params[k] for k in
-              ("c_max", "tau", "p0_load", "load_coeff", "e0_mean", "e0_std", "theta0")
-              if k in params}
-    if cfg.problem == "beam":
-        beam_cfg = fem.BeamConfig(
-            variant="rect",
-            nx=int(params.get("nx", 120)),
-            ny=int(params.get("ny", 40)),
-            **common,
-        )
-    else:
-        beam_cfg = fem.lbeam_config(n_grid=int(params.get("n_grid", 72)), **common)
-    beam = fem.BeamProblem(beam_cfg)
+        return truss.make_problem(cfg.problem_spec), cfg.problem_spec
+    beam = fem.BeamProblem(cfg.problem_spec)
     return beam.make_problem(), beam
 
 
@@ -297,9 +295,8 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     opt_cfg = OptimizerConfig(
         eta=cfg.eta, n=cfg.n, m=cfg.m, kappa_f=cfg.effective_kappa_f,
         p_a=cfg.p_a, iterations=cfg.iterations,
-        estimator=estimator_config(cfg.estimator), seed=cfg.seed,
+        estimator=cfg.estimator_config, seed=cfg.seed,
         alpha0=cfg.alpha0, beta0=cfg.beta0, eta_f=cfg.eta_f,
-        kappa_c=cfg.kappa_c,
     )
     start = time.perf_counter()
     try:
@@ -341,7 +338,7 @@ def _echo_config(cfg: RunConfig) -> dict:
     echo = {
         "problem": cfg.problem, "mode": cfg.mode, "seed": cfg.seed,
         "iterations": cfg.iterations, "eta": cfg.eta, "n": cfg.n, "m": cfg.m,
-        "kappa_f": cfg.kappa_f, "kappa_c": list(cfg.kappa_c), "p_a": cfg.p_a,
+        "kappa_f": cfg.kappa_f, "p_a": cfg.p_a,
         "alpha0": cfg.alpha0, "beta0": cfg.beta0, "eta_f": cfg.eta_f,
         "estimator": cfg.estimator, "posthoc_samples": cfg.posthoc_samples,
         "problem_params": cfg.problem_params,
@@ -377,10 +374,9 @@ def _resolve_theta(cfg: RunConfig, problem, context) -> np.ndarray:
 def cmd_estimate(cfg: RunConfig) -> int:
     problem, context = build_problem(cfg)
     theta = _resolve_theta(cfg, problem, context)
-    est_cfg = estimator_config(cfg.estimator)
     try:
         result = run_estimator(
-            problem.limit_state, theta, problem.random_input, est_cfg,
+            problem.limit_state, theta, problem.random_input, cfg.estimator_config,
             SampleStream(cfg.seed, ("estimate",)),
         )
     except SubsetStallError as err:
@@ -410,8 +406,6 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", help="output directory (default: config's out_dir or '.')")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--iterations", type=int, help="override iteration count")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker-count cap (runs are single-threaded)")
     args = parser.parse_args(argv)
 
     try:
@@ -427,7 +421,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (OptimizerError, fem.SolverError) as err:
+    except (OptimizerError, FloatingPointError) as err:  # a singular FE system or a failed fit
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

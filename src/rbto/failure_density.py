@@ -37,13 +37,6 @@ def initial_model(dim: int, alpha0: float, beta0: float, eta_f: float) -> Failur
     return FailureDensityModel(alpha0, np.full(dim, beta0), eta_f)
 
 
-def log_density(model: FailureDensityModel, theta) -> float:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != model.beta.shape:
-        raise ValueError("design dimension does not match beta")
-    return float(-model.alpha - model.beta @ theta)
-
-
 def _exp_terms(model: FailureDensityModel, failed_designs: np.ndarray) -> np.ndarray:
     exponents = -model.alpha - failed_designs @ model.beta
     if np.any(exponents > MAX_EXPONENT):

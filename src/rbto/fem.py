@@ -1,17 +1,17 @@
 """2D plane-stress FE kernel with power-law material interpolation.
 
 Bilinear quads on uniform square grids (element width h = 1, unit thickness,
-Poisson ratio 0.3 by default). Designs live on elements; physical densities
-are a cone-filtered version of the design (radius 1.5 h, row-normalized), and
-element stiffness scales as rho^3 * E0. The half rectangular beam and the 2D
-L-bracket are provided as built-in problems whose limit state is the
-compliance margin g = C_max - C.
+Poisson ratio NU = 0.3). Designs live on elements; physical densities are a
+cone-filtered version of the design (radius FILTER_RADIUS = 1.5 h,
+row-normalized), and element stiffness scales as rho^3 * E0. The half
+rectangular beam and the 2D L-bracket are provided as built-in problems whose
+limit state is the compliance margin g = C_max - C.
 
 Compliance for a given design factors exactly over the two random inputs
 (load multiplier P and bulk modulus E0): C(theta; P, E0) = P^2 / E0 * C1(theta)
 with C1 the unit-parameter solve. Problem evaluations exploit this with a
-single factorization per design; solve_direct keeps the per-sample assembly
-path for exactness checks.
+single factorization per design; BeamProblem.compliance_direct keeps the
+per-sample assembly path for exactness checks.
 """
 from __future__ import annotations
 
@@ -27,9 +27,12 @@ from .sampling import Lognormal, Normal, RandomInput
 from .sgd import OptimizationProblem
 
 THETA_MIN = 1e-3  # design floor keeping the stiffness matrix nonsingular
+NU = 0.3  # Poisson ratio
+PENAL = 3.0  # power-law exponent of the material interpolation
+FILTER_RADIUS = 1.5  # density-filter radius in element widths
 
 
-class SolverError(RuntimeError):
+class SolverError(FloatingPointError):
     pass
 
 
@@ -66,7 +69,7 @@ class Mesh:
         return (self.elem_grid + 0.5) * self.h
 
 
-def element_stiffness(e_mod: float = 1.0, nu: float = 0.3, h: float = 1.0) -> np.ndarray:
+def element_stiffness(e_mod: float = 1.0, nu: float = NU, h: float = 1.0) -> np.ndarray:
     """8x8 bilinear-quad plane-stress stiffness, 2x2 Gauss quadrature."""
     d_mat = e_mod / (1.0 - nu**2) * np.array(
         [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]
@@ -144,10 +147,9 @@ def build_lshape_mesh(n: int = 72, h: float = 1.0) -> Mesh:
     """L-bracket: n x n grid minus the top-right (2n/3) x (2n/3) block.
 
     Clamped along the top edge of the vertical leg; unit downward point load
-    at the middle of the right face of the horizontal leg.
+    at the middle of the right face of the horizontal leg. n must be
+    divisible by 6 (checked by BeamConfig).
     """
-    if n % 6 != 0:
-        raise ValueError("grid size must be divisible by 6")
     leg = n // 3
     mask = np.zeros((n, n), dtype=bool)
     for ex in range(n):
@@ -165,7 +167,7 @@ def build_lshape_mesh(n: int = 72, h: float = 1.0) -> Mesh:
     return Mesh(nodes, elems, _edofs(elems), np.array(sorted(fixed)), load, h, (n, n), elem_grid)
 
 
-def build_filter(mesh: Mesh, radius_factor: float = 1.5) -> sparse.csr_matrix:
+def build_filter(mesh: Mesh, radius_factor: float = FILTER_RADIUS) -> sparse.csr_matrix:
     """Row-normalized cone-weight density filter over element centers."""
     r_f = radius_factor * mesh.h
     centers = mesh.centers
@@ -188,18 +190,7 @@ def filter_backward(weight_matrix: sparse.csr_matrix, d_rho: np.ndarray) -> np.n
     return weight_matrix.T @ d_rho
 
 
-@dataclass
-class SimpField:
-    """Design and filtered densities with the material-law parameters."""
-
-    theta: np.ndarray
-    rho: np.ndarray
-    e0: float = 1.0
-    nu: float = 0.3
-    beta_p: float = 3.0
-
-
-class _BandedOperator:
+class BandedOperator:
     """Precomputed assembly-and-factorization pipeline on the free dofs.
 
     The stiffness sparsity pattern is fixed by the mesh, so per-design work
@@ -246,19 +237,17 @@ class _BandedOperator:
 
 
 def solve_compliance(
-    mesh: Mesh, field: SimpField, load_mult: float = 1.0, _op: _BandedOperator | None = None
+    op: BandedOperator, rho: np.ndarray, e0: float = 1.0, load_mult: float = 1.0
 ) -> tuple[np.ndarray, float]:
-    """Solve K(rho) u = P f and return (u, compliance = f^T u)."""
-    op = _op or _BandedOperator(mesh, element_stiffness(1.0, field.nu, mesh.h))
-    return op.solve(field.e0 * field.rho**field.beta_p, load_mult)
+    """Solve K(rho) u = P f at modulus e0 * rho^PENAL; return (u, compliance = P f^T u)."""
+    return op.solve(e0 * rho**PENAL, load_mult)
 
 
-def compliance_sensitivity(mesh: Mesh, field: SimpField, u: np.ndarray) -> np.ndarray:
-    """dC/drho per element; compliance is self-adjoint so no extra solve."""
-    ke = element_stiffness(1.0, field.nu, mesh.h)
-    ue = u[mesh.edofs]
-    energies = np.einsum("ei,ij,ej->e", ue, ke, ue)
-    return -field.beta_p * field.rho ** (field.beta_p - 1.0) * field.e0 * energies
+def compliance_sensitivity(op: BandedOperator, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """dC/drho per element at unit modulus; compliance is self-adjoint so no extra solve."""
+    ue = u[op.mesh.edofs]
+    energies = np.einsum("ei,ij,ej->e", ue, op.ke, ue)
+    return -PENAL * rho ** (PENAL - 1.0) * energies
 
 
 @dataclass(frozen=True)
@@ -273,9 +262,6 @@ class BeamConfig:
     load_coeff: float = 0.25
     e0_mean: float = 1.0
     e0_std: float = 0.1
-    nu: float = 0.3
-    beta_p: float = 3.0
-    filter_radius: float = 1.5
     theta0: float = 0.5
 
     def __post_init__(self):
@@ -283,6 +269,10 @@ class BeamConfig:
             raise ValueError("c_max must be > 0")
         if self.variant not in ("rect", "lshape"):
             raise ValueError(f"unknown mesh variant {self.variant!r}")
+        if self.variant == "lshape" and self.n_grid % 6 != 0:
+            raise ValueError(f"n_grid must be divisible by 6, got {self.n_grid}")
+        if not THETA_MIN <= self.theta0 <= 1.0:
+            raise ValueError(f"theta0 must lie in [{THETA_MIN}, 1], got {self.theta0}")
 
 
 def lbeam_config(**overrides) -> BeamConfig:
@@ -309,9 +299,8 @@ class BeamProblem:
             self.mesh = build_rect_mesh(config.nx, config.ny)
         else:
             self.mesh = build_lshape_mesh(config.n_grid)
-        self.ke = element_stiffness(1.0, config.nu, self.mesh.h)
-        self.weights = build_filter(self.mesh, config.filter_radius)
-        self._op = _BandedOperator(self.mesh, self.ke)
+        self.weights = build_filter(self.mesh)
+        self.op = BandedOperator(self.mesh, element_stiffness(1.0, NU, self.mesh.h))
         self.random_input = RandomInput(
             (Normal(0.0, 1.0), Lognormal(config.e0_mean, config.e0_std))
         )
@@ -322,20 +311,7 @@ class BeamProblem:
         self._cache_key: bytes | None = None
         self._cache: tuple[float, np.ndarray] | None = None
         self.n_solves = 0
-        self.limit_state = LimitState(
-            fn=lambda theta, xi: self.limit_state_value(theta, xi),
-            batch_fn=lambda theta, xis: self.limit_state_batch(theta, xis),
-        )
-
-    def field(self, theta: np.ndarray, e0: float = 1.0) -> SimpField:
-        theta = np.asarray(theta, dtype=float)
-        return SimpField(
-            theta=theta,
-            rho=filter_forward(self.weights, theta),
-            e0=e0,
-            nu=self.config.nu,
-            beta_p=self.config.beta_p,
-        )
+        self.limit_state = LimitState(self.limit_state_batch)
 
     def load_multiplier(self, xi) -> float | np.ndarray:
         return self.config.p0_load * (1.0 + self.config.load_coeff * np.asarray(xi))
@@ -345,10 +321,10 @@ class BeamProblem:
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
         if key != self._cache_key:
-            field = self.field(theta, e0=1.0)
-            u, c1 = solve_compliance(self.mesh, field, 1.0, _op=self._op)
+            rho = filter_forward(self.weights, theta)
+            u, c1 = solve_compliance(self.op, rho)
             self.n_solves += 1
-            dc1 = compliance_sensitivity(self.mesh, field, u)
+            dc1 = compliance_sensitivity(self.op, rho, u)
             self._cache_key = key
             self._cache = (c1, dc1)
         return self._cache
@@ -360,28 +336,28 @@ class BeamProblem:
 
     def compliance_direct(self, theta: np.ndarray, xi: np.ndarray) -> float:
         """Per-sample assembly/solve path; exactness reference for compliance()."""
-        field = self.field(theta, e0=float(xi[1]))
-        _, c = solve_compliance(self.mesh, field, float(self.load_multiplier(xi[0])), _op=self._op)
+        rho = filter_forward(self.weights, np.asarray(theta, dtype=float))
+        _, c = solve_compliance(self.op, rho, float(xi[1]), float(self.load_multiplier(xi[0])))
         self.n_solves += 1
         return c
 
-    def limit_state_value(self, theta, xi) -> float:
-        return self.config.c_max - self.compliance(theta, np.asarray(xi, dtype=float))
-
     def limit_state_batch(self, theta, xis: np.ndarray) -> np.ndarray:
         c1, _ = self.unit_solution(theta)
-        xis = np.atleast_2d(xis)
         p = self.load_multiplier(xis[:, 0])
         return self.config.c_max - p**2 / xis[:, 1] * c1
 
-    def objective_sample(self, theta, xi) -> tuple[float, np.ndarray]:
-        """Sampled compliance plus the deterministic mass term, with gradient."""
+    def objective_batch(self, theta, xis: np.ndarray) -> tuple[float, np.ndarray]:
+        """Batch-mean sampled compliance plus the deterministic mass term, with gradient.
+
+        The samples enter only through s = mean(P^2/E0), so one filter product
+        pair serves the whole batch: value s*C1 + mass, gradient W^T(s dC1) + dmass.
+        """
         theta = np.asarray(theta, dtype=float)
         c1, dc1 = self.unit_solution(theta)
-        scale = float(self.load_multiplier(xi[0]) ** 2 / xi[1])
+        s = float(np.mean(self.load_multiplier(xis[:, 0]) ** 2 / xis[:, 1]))
         rho = filter_forward(self.weights, theta)
-        value = scale * c1 + self.config.tau * self.elem_volume * float(np.sum(rho))
-        grad = filter_backward(self.weights, scale * dc1) + self._mass_grad
+        value = s * c1 + self.config.tau * self.elem_volume * float(np.sum(rho))
+        grad = filter_backward(self.weights, s * dc1) + self._mass_grad
         return value, grad
 
     def objective_expected(self, theta) -> float:
@@ -406,7 +382,7 @@ class BeamProblem:
             lower=np.full(n_e, THETA_MIN),
             upper=np.ones(n_e),
             random_input=self.random_input,
-            objective_sample=self.objective_sample,
+            objective_batch=self.objective_batch,
             limit_state=self.limit_state,
             objective_expected=self.objective_expected,
         )

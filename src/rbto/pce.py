@@ -16,7 +16,7 @@ import numpy as np
 from .sampling import RandomInput
 
 
-class PceFitError(RuntimeError):
+class PceFitError(FloatingPointError):
     pass
 
 
@@ -112,6 +112,9 @@ def fit_least_squares(
     """Least-squares coefficient fit at the given u-space sample points."""
     u_samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
     values = np.asarray(values, dtype=float)
+    n_bad = int(np.count_nonzero(~np.isfinite(values)))
+    if n_bad:
+        raise PceFitError(f"{n_bad} of {values.size} fit values are not finite")
     n_terms = len(indices)
     if u_samples.shape[0] < n_terms:
         raise PceFitError(

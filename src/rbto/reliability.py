@@ -1,6 +1,9 @@
-"""Failure-probability estimators over a user-supplied limit state.
+"""Failure-probability estimators over a vectorized limit state.
 
-Failure is g(theta; xi) <= 0 throughout. Three estimators are provided:
+Failure is g(theta; xi) <= 0 throughout. Every estimator evaluates the exact
+model only through LimitState.batch, one call per block of realizations
+(never per sample), so the evaluation count is the number of rows passed.
+Three estimators are provided:
 plain Monte Carlo, multi-level subset sampling with a component-wise
 Metropolis kernel in u-space, and a hybrid scheme that screens Monte Carlo
 samples through a polynomial chaos surrogate and re-evaluates only those in
@@ -18,29 +21,20 @@ from .sampling import RandomInput, SampleStream
 
 
 class LimitState:
-    """Wraps an exact limit-state evaluator and counts its evaluations.
+    """Wraps a vectorized exact limit-state evaluator and counts its evaluations.
 
-    The counter increments once per exact-model call. An optional vectorized
-    evaluator over a batch of realizations avoids per-sample Python overhead;
-    it must agree with the scalar evaluator point for point.
+    batch_fn(theta, xis) returns g at each row of the (n, dim) realization
+    matrix xis; the counter increments once per row.
     """
 
-    def __init__(self, fn, batch_fn=None):
-        self.fn = fn
+    def __init__(self, batch_fn):
         self.batch_fn = batch_fn
         self.n_evals = 0
-
-    def __call__(self, theta, xi) -> float:
-        self.n_evals += 1
-        g = float(self.fn(theta, xi))
-        return g
 
     def batch(self, theta, xis: np.ndarray) -> np.ndarray:
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         self.n_evals += xis.shape[0]
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(theta, xis), dtype=float)
-        return np.array([float(self.fn(theta, xi)) for xi in xis])
+        return np.asarray(self.batch_fn(theta, xis), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -100,6 +94,12 @@ class HybridConfig:
             raise ValueError("sample counts must be >= 1")
         if self.pce_order < 0:
             raise ValueError("pce_order must be >= 0")
+
+    def check_fit_count(self, dim: int) -> None:
+        """Reject n_fit below the size of the order-pce_order basis in dim inputs."""
+        n_terms = math.comb(self.pce_order + dim, dim)
+        if self.n_fit < n_terms:
+            raise ValueError(f"n_fit={self.n_fit} is below the {n_terms}-term basis size")
 
 
 class SubsetStallError(RuntimeError):
@@ -255,11 +255,8 @@ def hybrid_estimate(
     |ghat| <= gamma, where the exact model decides.
     """
     nd0 = g.n_evals
+    cfg.check_fit_count(input.dim)
     indices = pce.multi_indices(input.dim, cfg.pce_order)
-    if cfg.n_fit < len(indices):
-        raise ValueError(
-            f"n_fit={cfg.n_fit} is below the {len(indices)}-term basis size"
-        )
     u_fit = input.sample_u(cfg.n_fit, stream.child("fit"))
     g_fit = g.batch(theta, input.from_u(u_fit))
     model = pce.fit_least_squares(u_fit, g_fit, indices, input)

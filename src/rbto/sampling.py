@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
 
 @dataclass(frozen=True)
 class Normal:
@@ -53,10 +51,6 @@ class Lognormal:
 
 
 RandomVariable = Normal | Lognormal
-
-
-def standard_normal() -> Normal:
-    return Normal(0.0, 1.0)
 
 
 def _encode_label(label) -> list[int]:
@@ -156,9 +150,3 @@ class RandomInput:
                     raise ValueError("lognormal realization must be positive")
                 u[..., i] = (np.log(xi) - rv.mu_ln) / rv.sigma_ln
         return u
-
-
-def log_pdf_u(u) -> float:
-    """Log density of the standard-normal measure at a u-space point."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sum(-0.5 * u**2 - LOG_SQRT_2PI))

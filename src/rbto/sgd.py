@@ -1,8 +1,10 @@
 """Penalized stochastic-gradient loop with periodic failure-probability refresh.
 
 Each iteration draws a fresh mini-batch of the uncertain input, checks the
-exact limit state on it (updating the failure-density model whenever a draw
-fails), then takes a projected gradient step on the penalized objective.
+exact limit state on the whole batch in one call (updating the
+failure-density model whenever a draw fails), then takes a projected step
+along the batch-mean objective gradient, from one objective_batch call, plus
+the failure penalty.
 
 The failure probability is re-estimated by a sampling estimator every m
 iterations. The penalty is driven by the log ratio s of estimate to allowable
@@ -28,7 +30,6 @@ from . import failure_density as fd
 from .reliability import (
     EstimatorConfig,
     LimitState,
-    ReliabilityEstimate,
     SubsetStallError,
     estimate,
 )
@@ -36,7 +37,7 @@ from .sampling import RandomInput, SampleStream
 
 
 class OptimizerError(RuntimeError):
-    """Non-finite state or gradient; carries the iteration and partial history."""
+    """Numerical failure during a run; carries the iteration and partial history."""
 
     def __init__(self, msg: str, iteration: int, history: "RunHistory | None" = None):
         super().__init__(msg)
@@ -48,12 +49,12 @@ class OptimizerError(RuntimeError):
 class OptimizationProblem:
     """Callbacks and geometry of one design problem.
 
-    objective_sample(theta, xi) returns a sampled objective value and its
-    design gradient; constraints is a tuple of callables with the same
-    signature returning (q_i, grad q_i) for penalized inequality constraints
-    q_i <= 0. objective_expected, when available, evaluates the exact
+    objective_batch(theta, xis) returns the mean of the sampled objective over
+    the rows of the (n, dim) realization matrix xis and the mean of its design
+    gradient. objective_expected, when available, evaluates the exact
     expectation of the sampled objective at a design; it is recorded as a
     noise-free convergence trace and never enters the descent direction.
+    theta0 must lie in the box [lower, upper].
     """
 
     dim: int
@@ -61,19 +62,20 @@ class OptimizationProblem:
     lower: np.ndarray
     upper: np.ndarray
     random_input: RandomInput
-    objective_sample: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
+    objective_batch: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
     limit_state: LimitState
-    constraints: tuple = ()
     objective_expected: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self):
         self.theta0 = np.asarray(self.theta0, dtype=float)
-        self.lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.dim,)).copy()
-        self.upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.dim,)).copy()
+        self.lower = np.full(self.dim, self.lower, dtype=float)
+        self.upper = np.full(self.dim, self.upper, dtype=float)
         if self.theta0.shape != (self.dim,):
             raise ValueError("theta0 dimension mismatch")
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("lower bound exceeds upper bound")
+        if (self.theta0 < self.lower).any() or (self.theta0 > self.upper).any():
+            raise ValueError("theta0 lies outside the design box")
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,6 @@ class OptimizerConfig:
     alpha0: float = 0.01
     beta0: float = 0.01
     eta_f: float = 0.2
-    kappa_c: tuple = ()
 
     def __post_init__(self):
         if self.eta <= 0.0:
@@ -100,8 +101,6 @@ class OptimizerConfig:
             raise ValueError("kappa_f must be >= 0")
         if not 0.0 < self.p_a < 1.0:
             raise ValueError("p_a must lie in (0, 1)")
-        if any(k < 0.0 for k in self.kappa_c):
-            raise ValueError("kappa_c entries must be >= 0")
 
 
 @dataclass
@@ -139,39 +138,25 @@ def stochastic_gradient(
     theta: np.ndarray,
     batch: np.ndarray,
     failure_penalty: np.ndarray,
-    kappa_c: tuple = (),
 ) -> tuple[np.ndarray, float]:
-    """Mini-batch gradient: objective and constraint terms are batch means.
+    """Mini-batch descent direction and the mean sampled objective.
 
-    Returns (h, mean sampled objective). The objective and constraint terms
-    are averaged over the batch, the usual mini-batch convention, so the step
-    size means the same thing for every n; the failure penalty enters once.
-    The constraint contribution per sample is kappa_i * max(q_i, 0) * grad q_i,
-    the gradient of the quadratic hinge penalty kappa_i/2 * (q_i+)^2.
+    The objective term is the batch mean, the usual mini-batch convention, so
+    the step size means the same thing for every n; the failure penalty
+    enters once.
     """
     batch = np.atleast_2d(batch)
-    n = batch.shape[0]
-    if n < 1:
+    if batch.shape[0] < 1:
         raise ValueError("batch must be nonempty")
-    h = np.zeros(problem.dim)
-    total = 0.0
-    for xi in batch:
-        value, grad = problem.objective_sample(theta, xi)
-        total += value
-        h += grad
-        for kap, con in zip(kappa_c, problem.constraints):
-            q, gq = con(theta, xi)
-            if q > 0.0:
-                h += kap * q * np.asarray(gq)
-    return h / n + failure_penalty, total / n
+    value, grad = problem.objective_batch(theta, batch)
+    return grad + failure_penalty, value
 
 
 def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray, RunHistory]:
     """Run the optimization loop; deterministic given cfg.seed."""
     root = SampleStream(cfg.seed)
-    theta = project(problem.theta0, problem.lower, problem.upper)
+    theta = problem.theta0.copy()
     model = fd.initial_model(problem.dim, cfg.alpha0, cfg.beta0, cfg.eta_f)
-    kappa_c = tuple(cfg.kappa_c) if cfg.kappa_c else (0.0,) * len(problem.constraints)
 
     iters = cfg.iterations
     hist = RunHistory(
@@ -221,7 +206,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
             else:
                 penalty = np.zeros(problem.dim)
 
-            h, obj = stochastic_gradient(problem, theta, batch, penalty, kappa_c)
+            h, obj = stochastic_gradient(problem, theta, batch, penalty)
             hist.n_objective_evals += cfg.n
             hist.objective[k - 1] = obj
             if problem.objective_expected is not None:
@@ -231,21 +216,14 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
 
             if not np.all(np.isfinite(h)):
                 bad = int(np.nonzero(~np.isfinite(h))[0][0])
-                raise OptimizerError(
-                    f"non-finite gradient component {bad} at iteration {k}", k
-                )
+                raise FloatingPointError(f"non-finite gradient component {bad} at iteration {k}")
             theta = project(theta - cfg.eta * h, problem.lower, problem.upper)
             if not np.all(np.isfinite(theta)):
                 bad = int(np.nonzero(~np.isfinite(theta))[0][0])
-                raise OptimizerError(
-                    f"non-finite design component {bad} at iteration {k}", k
-                )
-        except OptimizerError as err:
-            for arr in (hist.objective, hist.alpha, hist.beta_norm):
-                arr[k - 1 :] = np.nan
-            err.history = finalize()
-            raise
-        except (fd.FailureModelOverflowError, SubsetStallError) as err:
+                raise FloatingPointError(f"non-finite design component {bad} at iteration {k}")
+        # FloatingPointError covers the density-model overflow, a failed
+        # surrogate fit and a singular FE system, besides the checks above
+        except (FloatingPointError, SubsetStallError) as err:
             for arr in (hist.objective, hist.alpha, hist.beta_norm):
                 arr[k - 1 :] = np.nan
             raise OptimizerError(str(err), k, finalize()) from err

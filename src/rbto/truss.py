@@ -20,18 +20,25 @@ from .sampling import Normal, RandomInput
 from .sgd import OptimizationProblem
 
 DELTA_MARGIN = 1e-3  # keep delta clear of the 0 and pi/2 trigonometric poles
+LOWER = (0.0, DELTA_MARGIN)  # design box of (lam, delta)
+UPPER = (1.0, np.pi / 2 - DELTA_MARGIN)
 
 
 @dataclass(frozen=True)
 class TrussProblem:
     c0: float = 100.0
     p_load: float = 1.0
-    lambda_bounds: tuple[float, float] = (0.0, 1.0)
-    delta_bounds: tuple[float, float] = (DELTA_MARGIN, np.pi / 2 - DELTA_MARGIN)
+    theta0: tuple[float, float] = (0.1, np.pi / 4)
 
     def __post_init__(self):
         if self.c0 <= 0.0:
             raise ValueError("c0 must be > 0")
+        lam_ok = len(self.theta0) == 2 and LOWER[0] <= self.theta0[0] <= UPPER[0]
+        if not (lam_ok and LOWER[1] <= self.theta0[1] <= UPPER[1]):
+            raise ValueError(
+                f"theta0 must be (lam, delta) in [{LOWER[0]}, {UPPER[0]}] x "
+                f"[{LOWER[1]}, {UPPER[1]:.6f}], got {list(self.theta0)}"
+            )
 
 
 def objective(lam: float, delta: float) -> tuple[float, np.ndarray]:
@@ -70,29 +77,20 @@ def failure_probability(problem: TrussProblem, lam: float, delta: float) -> floa
     return float(2.0 * stats.norm.cdf(-np.sqrt(rhs)))
 
 
-def make_problem(
-    problem: TrussProblem | None = None,
-    theta0=(0.1, np.pi / 4),
-) -> OptimizationProblem:
-    """Wire the truss into the optimizer interface (1-D standard-normal input)."""
+def make_problem(problem: TrussProblem | None = None) -> OptimizationProblem:
+    """Wire the truss into the optimizer interface (1-D standard-normal input).
+
+    The objective does not depend on the load, so every batch mean is the
+    deterministic objective itself.
+    """
     prob = problem or TrussProblem()
-
-    def objective_sample(theta, xi):
-        return objective(theta[0], theta[1])
-
-    g = LimitState(
-        fn=lambda theta, xi: limit_state(prob, theta[0], theta[1], xi[0]),
-        batch_fn=lambda theta, xis: np.atleast_1d(
-            limit_state(prob, theta[0], theta[1], np.asarray(xis)[:, 0])
-        ),
-    )
     return OptimizationProblem(
         dim=2,
-        theta0=np.asarray(theta0, dtype=float),
-        lower=np.array([prob.lambda_bounds[0], prob.delta_bounds[0]]),
-        upper=np.array([prob.lambda_bounds[1], prob.delta_bounds[1]]),
+        theta0=np.asarray(prob.theta0, dtype=float),
+        lower=np.array(LOWER),
+        upper=np.array(UPPER),
         random_input=RandomInput((Normal(0.0, 1.0),)),
-        objective_sample=objective_sample,
-        limit_state=g,
+        objective_batch=lambda theta, xis: objective(theta[0], theta[1]),
+        limit_state=LimitState(lambda theta, xis: limit_state(prob, theta[0], theta[1], xis[:, 0])),
         objective_expected=lambda theta: objective(theta[0], theta[1])[0],
     )

@@ -158,8 +158,7 @@ def test_criterion_4_subset_calibration():
     cfg = SubsetConfig(n_samples=1000, p0=0.1)
     estimates, count_errors = [], []
     for rep in range(50):
-        g = LimitState(fn=lambda t, xi: 3.0 - xi[0],
-                       batch_fn=lambda t, xis: 3.0 - xis[:, 0])
+        g = LimitState(lambda t, xis: 3.0 - xis[:, 0])
         est = subset_estimate(g, None, U1, cfg, SampleStream(4000 + rep))
         estimates.append(est.p_hat)
         claimed = 1000 + est.levels * 1000
@@ -173,18 +172,12 @@ def test_criterion_4_subset_calibration():
 
 
 def test_criterion_5_hybrid_estimator_fidelity():
-    g_h = LimitState(
-        fn=lambda t, xi: truss.limit_state(TRUSS, *REF_DESIGN, xi[0]),
-        batch_fn=lambda t, xis: truss.limit_state(TRUSS, *REF_DESIGN, xis[:, 0]),
-    )
+    g_h = LimitState(lambda t, xis: truss.limit_state(TRUSS, *REF_DESIGN, xis[:, 0]))
     hyb = hybrid_estimate(
         g_h, None, U1, HybridConfig(gamma=2.5, n_samples=10**6, n_fit=100, pce_order=4),
         SampleStream(51),
     )
-    g_m = LimitState(
-        fn=lambda t, xi: truss.limit_state(TRUSS, *REF_DESIGN, xi[0]),
-        batch_fn=lambda t, xis: truss.limit_state(TRUSS, *REF_DESIGN, xis[:, 0]),
-    )
+    g_m = LimitState(lambda t, xis: truss.limit_state(TRUSS, *REF_DESIGN, xis[:, 0]))
     ref = mc_estimate(g_m, None, U1, 10**6, SampleStream(52))
     rel = abs(hyb.p_hat - ref.p_hat) / ref.p_hat
     assert rel <= 0.20
@@ -203,12 +196,12 @@ def test_criterion_6_gradient_correctness():
     worst_fem = 0.0
     for _ in range(10):
         theta = rng.uniform(0.2, 0.95, bp.mesh.n_elems)
-        _, grad = bp.objective_sample(theta, xi)
+        _, grad = bp.objective_batch(theta, xi[None])
         for i in rng.choice(bp.mesh.n_elems, size=3, replace=False):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += step
             tm[i] -= step
-            fd = (bp.objective_sample(tp, xi)[0] - bp.objective_sample(tm, xi)[0]) / (2 * step)
+            fd = (bp.objective_batch(tp, xi[None])[0] - bp.objective_batch(tm, xi[None])[0]) / (2 * step)
             worst_fem = max(worst_fem, abs(grad[i] - fd) / abs(fd))
     assert worst_fem < 1e-4
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestConfigParsing:
         path.write_text('{"problem": "truss",\n  seed: 1}')
         with pytest.raises(ConfigError, match=r"bad\.json:2"):
             load_config(path)
+
+    @pytest.mark.parametrize("over, message", [
+        ({"iterations": "x"}, "iterations must be a number"),
+        ({"estimator": {"method": "subset", "p0": 1.5}}, "p0 must lie in"),
+        ({"problem": "lbeam", "problem_params": {"n_grid": 20}}, "divisible by 6"),
+        ({"estimator": {"method": "hybrid", "n_fit": 3}}, "basis size"),
+        ({"problem_params": {"theta0": [5.0, 0.7]}}, "theta0"),
+        ({"kappa_c": [1.0]}, "unknown key.*kappa_c"),
+    ], ids=["iterations", "p0", "n_grid", "n_fit", "theta0", "kappa_c"])
+    def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
+        path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.search(f"config error: .*{message}", err)
+        assert not out.exists()
 
     def test_range_validation(self):
         with pytest.raises(ConfigError, match="p_a"):
@@ -163,6 +181,21 @@ class TestRunCommand:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
+
+    def test_numerical_failure_exits_3_with_partial_history(self, tmp_path, capsys):
+        # a vanished cross-section fails every draw: g = -inf cannot be fitted
+        cfg = {"problem": "truss", "seed": 1, "iterations": 300, "m": 100,
+               "problem_params": {"theta0": [0.0, 0.7]},
+               "estimator": {"method": "hybrid", "n_samples": 1000}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        rows = (out / "history.csv").read_text().splitlines()
+        assert len(rows) == 1 + 300
+        objective = [row.split(",")[1] for row in rows[1:]]
+        assert "nan" not in objective[:99]  # the first refresh, at iteration 100, fails
+        assert set(objective[99:]) == {"nan"}
 
 
 class TestEstimateCommand:

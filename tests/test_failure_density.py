@@ -7,7 +7,6 @@ from rbto.failure_density import (
     FailureDensityModel,
     FailureModelOverflowError,
     initial_model,
-    log_density,
     penalty_gradient,
     residual_and_score,
     update,
@@ -16,27 +15,6 @@ from rbto.failure_density import (
 
 def model(alpha, beta, eta_f=0.2):
     return FailureDensityModel(alpha, np.asarray(beta, dtype=float), eta_f)
-
-
-def test_log_density_zero_model():
-    m = model(0.0, [0.0, 0.0])
-    for theta in ([0.0, 0.0], [1.0, -2.0], [100.0, 3.0]):
-        assert log_density(m, np.array(theta)) == 0.0
-
-
-def test_log_density_value():
-    m = model(1.0, [2.0])
-    assert log_density(m, np.array([0.5])) == pytest.approx(-2.0)
-
-
-@given(t=st.floats(-10, 10), theta0=st.floats(-5, 5))
-@settings(max_examples=50, deadline=None)
-def test_log_density_translation(t, theta0):
-    m = model(0.7, [1.3, -0.4])
-    base = np.array([theta0, 2.0])
-    shifted = base + np.array([t, 0.0])
-    diff = log_density(m, shifted) - log_density(m, base)
-    assert diff == pytest.approx(-1.3 * t, rel=1e-9, abs=1e-9)
 
 
 def test_residual_zero_when_exponent_is_zero():
@@ -159,5 +137,3 @@ def test_invalid_inputs():
         penalty_gradient(m, 1.5, 1e-3, 1.0)
     with pytest.raises(ValueError):
         residual_and_score(m, np.empty((0, 1)))
-    with pytest.raises(ValueError):
-        log_density(m, np.array([1.0, 2.0]))

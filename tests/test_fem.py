@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from rbto.fem import (
+    BandedOperator,
     BeamConfig,
     BeamProblem,
-    SimpField,
     SolverError,
     build_filter,
     build_lshape_mesh,
@@ -73,11 +73,10 @@ class TestMeshes:
         assert load_dofs[0] % 2 == 1  # vertical component
 
     def test_assembled_system_is_spd(self):
-        m = build_rect_mesh(6, 2)
         bp = BeamProblem(BeamConfig(nx=6, ny=2))
-        field = bp.field(np.full(bp.mesh.n_elems, 0.5))
+        m = bp.mesh
         # solver factorizes a Cholesky: succeeds iff SPD after constraints
-        u, c = solve_compliance(m, field)
+        u, c = solve_compliance(bp.op, np.full(m.n_elems, 0.5))
         assert c > 0.0
         assert np.all(u[m.fixed_dofs] == 0.0)
 
@@ -104,16 +103,16 @@ class TestElementStiffness:
 class TestSolve:
     def test_load_scaling_quadratic(self):
         bp = BeamProblem(BeamConfig(nx=12, ny=4))
-        field = bp.field(np.full(bp.mesh.n_elems, 0.7))
-        _, c1 = solve_compliance(bp.mesh, field, 1.0)
-        _, c3 = solve_compliance(bp.mesh, field, 3.0)
+        rho = np.full(bp.mesh.n_elems, 0.7)
+        _, c1 = solve_compliance(bp.op, rho, load_mult=1.0)
+        _, c3 = solve_compliance(bp.op, rho, load_mult=3.0)
         assert c3 == pytest.approx(9.0 * c1, rel=1e-10)
 
     def test_modulus_scaling_inverse(self):
         bp = BeamProblem(BeamConfig(nx=12, ny=4))
-        theta = np.full(bp.mesh.n_elems, 0.6)
-        _, c_one = solve_compliance(bp.mesh, bp.field(theta, e0=1.0))
-        _, c_two = solve_compliance(bp.mesh, bp.field(theta, e0=2.0))
+        rho = np.full(bp.mesh.n_elems, 0.6)
+        _, c_one = solve_compliance(bp.op, rho, e0=1.0)
+        _, c_two = solve_compliance(bp.op, rho, e0=2.0)
         assert c_two == pytest.approx(c_one / 2.0, rel=1e-12)
 
     def test_against_dense_oracle(self):
@@ -130,40 +129,36 @@ class TestSolve:
         c_ref = m.load_vector[free] @ u_free
 
         bp = BeamProblem(BeamConfig(nx=nx, ny=ny))
-        field = bp.field(np.ones(m.n_elems))
-        _, c = solve_compliance(m, field)
+        _, c = solve_compliance(bp.op, np.ones(m.n_elems))
         assert c == pytest.approx(c_ref, rel=1e-8)
 
     def test_singular_system_reports_pivot(self):
         m = build_rect_mesh(4, 2)
-        field = SimpField(
-            theta=np.zeros(m.n_elems), rho=np.zeros(m.n_elems), e0=1.0
-        )
+        op = BandedOperator(m, element_stiffness())
         with pytest.raises(SolverError, match="smallest diagonal"):
-            solve_compliance(m, field)
+            solve_compliance(op, np.zeros(m.n_elems))
 
 
 class TestSensitivityAndFilter:
     def test_sensitivity_nonpositive(self):
         bp = BeamProblem(BeamConfig(nx=6, ny=2))
-        field = bp.field(np.linspace(0.2, 1.0, bp.mesh.n_elems))
-        u, _ = solve_compliance(bp.mesh, field)
-        assert np.all(compliance_sensitivity(bp.mesh, field, u) <= 0.0)
+        rho = bp.weights @ np.linspace(0.2, 1.0, bp.mesh.n_elems)
+        u, _ = solve_compliance(bp.op, rho)
+        assert np.all(compliance_sensitivity(bp.op, rho, u) <= 0.0)
 
     def test_sensitivity_matches_finite_differences(self):
         bp = BeamProblem(BeamConfig(nx=6, ny=2))
         rng = SampleStream(41).child("fd").rng()
         rho = rng.uniform(0.3, 1.0, bp.mesh.n_elems)
-        field = SimpField(theta=rho, rho=rho)
-        u, _ = solve_compliance(bp.mesh, field)
-        grad = compliance_sensitivity(bp.mesh, field, u)
+        u, _ = solve_compliance(bp.op, rho)
+        grad = compliance_sensitivity(bp.op, rho, u)
         step = 1e-6
         for i in rng.choice(bp.mesh.n_elems, size=4, replace=False):
             rp, rm = rho.copy(), rho.copy()
             rp[i] += step
             rm[i] -= step
-            _, cp = solve_compliance(bp.mesh, SimpField(theta=rp, rho=rp))
-            _, cm = solve_compliance(bp.mesh, SimpField(theta=rm, rho=rm))
+            _, cp = solve_compliance(bp.op, rp)
+            _, cm = solve_compliance(bp.op, rm)
             fd = (cp - cm) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=1e-4)
 
@@ -179,15 +174,14 @@ class TestSensitivityAndFilter:
             for offset in (-2 * step, -step, 0.0):
                 r = rho.copy()
                 r[i] += offset
-                _, c = solve_compliance(bp.mesh, SimpField(theta=r, rho=r))
+                _, c = solve_compliance(bp.op, r)
                 values.append(c)
             assert values[0] > values[1] > values[2]  # decreasing in density
             assert values[0] - 2 * values[1] + values[2] > 0.0  # convex
 
     def test_zero_displacement_zero_sensitivity(self):
         bp = BeamProblem(BeamConfig(nx=6, ny=2))
-        field = bp.field(np.full(bp.mesh.n_elems, 0.5))
-        grad = compliance_sensitivity(bp.mesh, field, np.zeros(bp.mesh.n_dofs))
+        grad = compliance_sensitivity(bp.op, np.full(bp.mesh.n_elems, 0.5), np.zeros(bp.mesh.n_dofs))
         assert np.all(grad == 0.0)
 
     def test_filter_preserves_constants(self):
@@ -227,7 +221,7 @@ class TestBeamProblem:
         bp = BeamProblem(BeamConfig(nx=6, ny=2, tau=0.0))
         theta = np.full(bp.mesh.n_elems, 0.8)
         xi = np.array([0.0, 1.0])
-        value, _ = bp.objective_sample(theta, xi)
+        value, _ = bp.objective_batch(theta, xi[None])
         assert value == pytest.approx(bp.compliance(theta, xi), rel=1e-12)
 
     def test_objective_gradient_matches_finite_differences(self):
@@ -238,16 +232,25 @@ class TestBeamProblem:
         worst = 0.0
         for _ in range(10):
             theta = rng.uniform(0.2, 0.9, bp.mesh.n_elems)
-            _, grad = bp.objective_sample(theta, xi)
+            _, grad = bp.objective_batch(theta, xi[None])
             for i in rng.choice(bp.mesh.n_elems, size=3, replace=False):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += step
                 tm[i] -= step
-                vp, _ = bp.objective_sample(tp, xi)
-                vm, _ = bp.objective_sample(tm, xi)
+                vp, _ = bp.objective_batch(tp, xi[None])
+                vm, _ = bp.objective_batch(tm, xi[None])
                 fd = (vp - vm) / (2 * step)
                 worst = max(worst, abs(grad[i] - fd) / abs(fd))
         assert worst < 1e-4
+
+    def test_objective_batch_is_mean_of_single_rows(self):
+        bp = BeamProblem(lbeam_config(n_grid=12))
+        theta = SampleStream(7).child("t").rng().uniform(0.2, 0.9, bp.mesh.n_elems)
+        xis = bp.random_input.sample(8, SampleStream(7).child("xi"))
+        value, grad = bp.objective_batch(theta, xis)
+        rows = [bp.objective_batch(theta, xi[None]) for xi in xis]
+        assert value == pytest.approx(np.mean([v for v, _ in rows]), rel=1e-12)
+        assert np.allclose(grad, np.mean([g for _, g in rows], axis=0), rtol=1e-12, atol=0.0)
 
     def test_expected_objective_matches_monte_carlo(self):
         bp = BeamProblem(lbeam_config(n_grid=12))
@@ -265,23 +268,22 @@ class TestBeamProblem:
         bp = BeamProblem(BeamConfig(nx=6, ny=2, tau=0.3))
         theta = np.full(bp.mesh.n_elems, 0.5)
         xi = np.array([0.0, 1.0])
-        _, grad_with = bp.objective_sample(theta, xi)
+        _, grad_with = bp.objective_batch(theta, xi[None])
         bp0 = BeamProblem(BeamConfig(nx=6, ny=2, tau=0.0))
-        _, grad_without = bp0.objective_sample(theta, xi)
+        _, grad_without = bp0.objective_batch(theta, xi[None])
         expected = 0.3 * 1.0 * np.asarray(bp.weights.T @ np.ones(bp.mesh.n_elems))
         assert np.allclose(grad_with - grad_without, expected, atol=1e-14)
 
     def test_full_density_design_is_safe_at_nominal(self):
         bp = BeamProblem(BeamConfig())  # 120x40 beam configuration
         theta = np.ones(bp.mesh.n_elems)
-        g = bp.limit_state_value(theta, np.array([0.0, 1.0]))
-        assert g > 0.0
+        g = bp.limit_state.batch(theta, np.array([[0.0, 1.0]]))
+        assert g[0] > 0.0
 
     def test_limit_state_monotone_in_modulus(self):
         bp = BeamProblem(BeamConfig(nx=12, ny=4))
         theta = np.full(bp.mesh.n_elems, 0.5)
-        g_soft = bp.limit_state_value(theta, np.array([0.5, 0.8]))
-        g_stiff = bp.limit_state_value(theta, np.array([0.5, 1.2]))
+        g_soft, g_stiff = bp.limit_state.batch(theta, np.array([[0.5, 0.8], [0.5, 1.2]]))
         assert g_stiff > g_soft
 
     def test_limit_state_quadratic_in_load(self):
@@ -323,6 +325,8 @@ class TestBeamProblem:
         assert cfg.e0_std == 0.2
         bp = BeamProblem(lbeam_config(n_grid=12))
         assert bp.mesh.n_elems == 80
+        with pytest.raises(ValueError, match="divisible by 6"):
+            lbeam_config(n_grid=20)
 
 
 class TestOutputs:

@@ -14,17 +14,19 @@ from rbto.sgd import (
     stochastic_gradient,
 )
 from rbto import truss
+from rbto.fem import SolverError
 
 U1 = RandomInput((Normal(0.0, 1.0),))
 
 
 def quadratic_problem(target=(0.3, -0.2), noise=0.0, dim=2):
-    """f(theta; xi) = |theta - target|^2 / 2 + noise * xi * theta_0."""
+    """f(theta; xi) = |theta - target|^2 / 2 + noise * xi * theta_0, batch-averaged."""
     target = np.asarray(target, dtype=float)
 
-    def objective(theta, xi):
-        grad = theta - target + noise * xi[0] * np.eye(dim)[0]
-        val = 0.5 * float((theta - target) @ (theta - target)) + noise * xi[0] * theta[0]
+    def objective(theta, xis):
+        xi_bar = float(np.mean(xis[:, 0]))
+        grad = theta - target + noise * xi_bar * np.eye(dim)[0]
+        val = 0.5 * float((theta - target) @ (theta - target)) + noise * xi_bar * theta[0]
         return val, grad
 
     return OptimizationProblem(
@@ -33,8 +35,8 @@ def quadratic_problem(target=(0.3, -0.2), noise=0.0, dim=2):
         lower=-np.ones(dim),
         upper=np.ones(dim),
         random_input=U1,
-        objective_sample=objective,
-        limit_state=LimitState(fn=lambda t, x: 1.0, batch_fn=lambda t, x: np.ones(len(x))),
+        objective_batch=objective,
+        limit_state=LimitState(lambda t, x: np.ones(len(x))),
     )
 
 
@@ -70,47 +72,22 @@ class TestStochasticGradient:
         theta = np.array([0.1, 0.1])
         xi = np.array([[0.5]])
         h, _ = stochastic_gradient(prob, theta, xi, np.zeros(2))
-        _, grad = prob.objective_sample(theta, xi[0])
+        _, grad = prob.objective_batch(theta, xi)
         assert np.allclose(h, grad)
-
-    def test_satisfied_constraints_contribute_nothing(self):
-        prob = quadratic_problem()
-        prob.constraints = (lambda t, x: (-1.0, np.ones(2)),)
-        theta = np.array([0.1, 0.1])
-        h_with, _ = stochastic_gradient(prob, theta, np.array([[0.2]]), np.zeros(2), (5.0,))
-        prob.constraints = ()
-        h_without, _ = stochastic_gradient(prob, theta, np.array([[0.2]]), np.zeros(2))
-        assert np.allclose(h_with, h_without)
-
-    def test_active_constraint_hinge_gradient(self):
-        prob = quadratic_problem()
-        gq = np.array([1.0, -2.0])
-        prob.constraints = (lambda t, x: (0.3, gq),)
-        theta = np.array([0.0, 0.0])
-        h, _ = stochastic_gradient(prob, theta, np.array([[0.0]]), np.zeros(2), (4.0,))
-        h0, _ = stochastic_gradient(prob, theta, np.array([[0.0]]), np.zeros(2), ())
-        assert np.allclose(h - h0, 4.0 * 0.3 * gq)
 
     def test_matches_finite_differences_of_sampled_objective(self):
         # fixed batch, frozen penalty term: h is the gradient of the batch-mean
         # penalized objective
         prob = quadratic_problem(noise=0.3)
-        kappa_c = (2.0,)
-        prob.constraints = (lambda t, x: (t[0] + t[1] - 0.1, np.array([1.0, 1.0])),)
         theta = np.array([0.2, -0.1])
         batch = np.array([[0.4], [-1.2], [0.7]])
         frozen = np.array([0.011, -0.007])
 
         def sampled_objective(th):
-            tot = 0.0
-            for xi in batch:
-                v, _ = prob.objective_sample(th, xi)
-                tot += v
-                q, _ = prob.constraints[0](th, xi)
-                tot += kappa_c[0] / 2.0 * max(q, 0.0) ** 2
+            tot = sum(prob.objective_batch(th, xi[None])[0] for xi in batch)
             return tot / len(batch) + frozen @ th
 
-        h, _ = stochastic_gradient(prob, theta, batch, frozen, kappa_c)
+        h, _ = stochastic_gradient(prob, theta, batch, frozen)
         step = 1e-6
         for i in range(2):
             e = np.zeros(2)
@@ -179,12 +156,12 @@ class TestRun:
     def test_batch_streams_differ_across_iterations(self):
         seen = []
 
-        def objective(theta, xi):
-            seen.append(float(xi[0]))
+        def objective(theta, xis):
+            seen.extend(xis[:, 0].tolist())
             return 0.0, np.zeros(2)
 
         prob = quadratic_problem()
-        prob.objective_sample = objective
+        prob.objective_batch = objective
         run(prob, small_config(iterations=60, n=1))
         assert len(set(seen)) == len(seen)  # no realization reused
 
@@ -212,13 +189,13 @@ class TestRun:
         assert hist.alpha[first] != 0.01  # moved off the initial value
 
     def test_nonfinite_gradient_halts_with_iteration(self):
-        def objective(theta, xi):
-            if xi[0] > 1.5:
+        def objective(theta, xis):
+            if xis[0, 0] > 1.5:
                 return np.nan, np.array([np.nan, np.nan])
             return 0.0, np.zeros(2)
 
         prob = quadratic_problem()
-        prob.objective_sample = objective
+        prob.objective_batch = objective
         with pytest.raises(OptimizerError) as exc:
             run(prob, small_config(iterations=500, seed=11))
         assert exc.value.iteration >= 1
@@ -230,9 +207,7 @@ class TestRun:
 
         # limit state bounded away from zero: subset thresholds stall
         prob = quadratic_problem()
-        prob.limit_state = LimitState(
-            fn=lambda t, x: 1.0, batch_fn=lambda t, x: np.ones(len(np.atleast_2d(x)))
-        )
+        prob.limit_state = LimitState(lambda t, x: np.ones(len(x)))
         cfg = small_config(
             kappa_f=10.0, m=5, iterations=20,
             estimator=SubsetConfig(n_samples=100, p0=0.1, max_levels=3),
@@ -241,6 +216,25 @@ class TestRun:
             run(prob, cfg)
         assert exc.value.iteration == 5
         assert exc.value.history is not None
+
+    def test_solver_error_surfaces_as_optimizer_error(self):
+        def singular(theta, xis):
+            raise SolverError("stiffness matrix not positive definite")
+
+        prob = quadratic_problem()
+        prob.objective_batch = singular
+        with pytest.raises(OptimizerError, match="positive definite") as exc:
+            run(prob, small_config(iterations=20))
+        assert exc.value.iteration == 1
+        assert exc.value.history is not None
+        assert np.all(np.isnan(exc.value.history.objective))
+
+    def test_out_of_box_theta0_rejected(self):
+        with pytest.raises(ValueError, match="design box"):
+            OptimizationProblem(
+                dim=1, theta0=np.array([2.0]), lower=0.0, upper=1.0, random_input=U1,
+                objective_batch=None, limit_state=None,
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -275,11 +269,11 @@ class TestSmoothedPenaltySignal:
         prob = quadratic_problem()
         seen = []
 
-        def objective(theta, xi):
+        def objective(theta, xis):
             seen.append(theta.copy())
             return 0.0, np.zeros(2)
 
-        prob.objective_sample = objective
+        prob.objective_batch = objective
         cfg = small_config(**dict(dict(
             kappa_f=50.0, m=1, eta=0.01, beta0=0.02, p_a=self.P_A,
             estimator=McConfig(self.N_SAMPLES)), **over))

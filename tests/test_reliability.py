@@ -21,24 +21,15 @@ PHI_MINUS_3 = float(stats.norm.cdf(-3.0))  # 1.3499e-3
 
 
 def shifted_limit_state(b):
-    return LimitState(
-        fn=lambda theta, xi: b - xi[0],
-        batch_fn=lambda theta, xis: b - xis[:, 0],
-    )
+    return LimitState(lambda theta, xis: b - xis[:, 0])
 
 
 def constant_limit_state(c):
-    return LimitState(
-        fn=lambda theta, xi: c,
-        batch_fn=lambda theta, xis: np.full(len(xis), c),
-    )
+    return LimitState(lambda theta, xis: np.full(len(xis), c))
 
 
 def truss_limit_state(prob, lam, delta):
-    return LimitState(
-        fn=lambda theta, xi: limit_state(prob, lam, delta, xi[0]),
-        batch_fn=lambda theta, xis: limit_state(prob, lam, delta, xis[:, 0]),
-    )
+    return LimitState(lambda theta, xis: limit_state(prob, lam, delta, xis[:, 0]))
 
 
 class TestMonteCarlo:
@@ -163,7 +154,7 @@ class TestHybrid:
         def gq(x):
             return 1.0 + 0.5 * x - 0.4 * (x**2 - 1.0)
 
-        g = LimitState(fn=lambda t, xi: gq(xi[0]), batch_fn=lambda t, xis: gq(xis[:, 0]))
+        g = LimitState(lambda t, xis: gq(xis[:, 0]))
         cfg = HybridConfig(gamma=0.0, n_samples=10**5, n_fit=40, pce_order=4)
         est = hybrid_estimate(g, None, U1, cfg, SampleStream(13))
         assert est.n_exact_evals == 40
@@ -179,7 +170,7 @@ class TestHybrid:
         def gq(x):
             return 2.0 - 0.3 * x - 0.5 * x**2
 
-        g = LimitState(fn=lambda t, xi: gq(xi[0]), batch_fn=lambda t, xis: gq(xis[:, 0]))
+        g = LimitState(lambda t, xis: gq(xis[:, 0]))
         cfg = HybridConfig(gamma=1.0, n_samples=5 * 10**4, n_fit=50, pce_order=4)
         est = hybrid_estimate(g, None, U1, cfg, SampleStream(14))
         xis = U1.sample(5 * 10**4, SampleStream(14).child("mc"))

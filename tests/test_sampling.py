@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream, log_pdf_u
+from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream
 
 
 def test_standard_normal_moments():
@@ -105,12 +105,6 @@ def test_lognormal_roundtrip_property(mean, cov, u):
     x = ri.from_u(np.array([u]))
     assert x[0] > 0
     assert ri.to_u(x)[0] == pytest.approx(u, abs=1e-8)
-
-
-def test_log_pdf_u_values():
-    assert log_pdf_u(np.array([0.0])) == pytest.approx(-0.9189385, abs=1e-7)
-    assert log_pdf_u(np.array([0.0, 0.0])) == pytest.approx(-1.8378771, abs=1e-7)
-    assert log_pdf_u(np.array([1.0])) == pytest.approx(-1.4189385, abs=1e-7)
 
 
 def test_invalid_parameters_rejected():

@@ -1,0 +1,33 @@
+"""The study scripts still run against the package's current interface."""
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def test_estimator_comparison_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "estimator_comparison.py")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [r.split()[0] for r in rows[2:]] == ["monte-carlo", "subset", "hybrid"]
+
+
+# running these in full takes half a minute or more; importing them checks
+# every name they take from the package
+@pytest.mark.parametrize("name", ["truss_study", "beam_study"])
+def test_study_script_imports(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

@@ -54,10 +54,7 @@ def test_limit_state_vanished_section_always_fails():
 
 
 def test_reference_design_failure_probability_monte_carlo():
-    g = LimitState(
-        fn=lambda t, xi: limit_state(PROB, *REF, xi[0]),
-        batch_fn=lambda t, xis: limit_state(PROB, *REF, xis[:, 0]),
-    )
+    g = LimitState(lambda t, xis: limit_state(PROB, *REF, xis[:, 0]))
     input_1d = RandomInput((Normal(0.0, 1.0),))
     est = mc_estimate(g, None, input_1d, 10**7, SampleStream(21))
     assert est.p_hat == pytest.approx(1e-3, rel=0.1)
@@ -67,10 +64,7 @@ def test_analytic_oracle_against_monte_carlo():
     input_1d = RandomInput((Normal(0.0, 1.0),))
     for lam, delta, seed in [(0.30, 0.70, 1), (0.40, 0.80, 2), (0.25, 0.75, 3)]:
         exact = failure_probability(PROB, lam, delta)
-        g = LimitState(
-            fn=lambda t, xi: limit_state(PROB, lam, delta, xi[0]),
-            batch_fn=lambda t, xis: limit_state(PROB, lam, delta, xis[:, 0]),
-        )
+        g = LimitState(lambda t, xis: limit_state(PROB, lam, delta, xis[:, 0]))
         n = 10**6
         est = mc_estimate(g, None, input_1d, n, SampleStream(seed))
         se = np.sqrt(exact * (1 - exact) / n)
@@ -93,10 +87,10 @@ def test_make_problem_wiring():
     prob = make_problem()
     assert prob.dim == 2
     assert np.allclose(prob.theta0, [0.1, np.pi / 4])
-    value, grad = prob.objective_sample(np.array([0.5, 0.0]), np.array([0.3]))
+    value, grad = prob.objective_batch(np.array([0.5, 0.0]), np.array([[0.3]]))
     assert value == 0.5
-    g = prob.limit_state(np.array([0.5, np.pi / 4]), np.array([0.0]))
-    assert g == pytest.approx(94.3431, abs=1e-4)
+    g = prob.limit_state.batch(np.array([0.5, np.pi / 4]), np.array([[0.0]]))
+    assert g[0] == pytest.approx(94.3431, abs=1e-4)
     assert prob.limit_state.n_evals == 1
     batch = prob.limit_state.batch(np.array([0.5, np.pi / 4]), np.zeros((3, 1)))
     assert np.allclose(batch, 94.3431, atol=1e-4)
