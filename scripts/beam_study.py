@@ -16,25 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
-from rbto import fem
-from rbto.reliability import HybridConfig, mc_estimate
+from rbto import cli, fem
+from rbto.reliability import mc_estimate
 from rbto.sampling import SampleStream
-from rbto.sgd import OptimizerConfig, run
+from rbto.sgd import run
+
+PROBLEMS = {"rect": "beam", "lshape": "lbeam"}
 
 
-def build(variant):
-    if variant == "rect":
-        bp = fem.BeamProblem(fem.BeamConfig())
-        opt = dict(eta=0.02, n=8)
-    else:
-        bp = fem.BeamProblem(fem.lbeam_config())
-        opt = dict(eta=0.035, n=4)
-    opt.update(
-        m=25, p_a=1e-3,
-        estimator=HybridConfig(gamma=25.0, n_samples=5 * 10**4, n_fit=100, pce_order=4),
-        alpha0=1e-5, beta0=1e-5, eta_f=1e-5,
-    )
-    return bp, opt
+def build(variant, mode, seed, iterations):
+    """(RunConfig, OptimizationProblem, BeamProblem) with the CLI's defaults for the variant."""
+    cfg = cli.parse_config({"problem": PROBLEMS[variant], "seed": seed,
+                            "iterations": iterations, "mode": mode})
+    prob, bp = cli.build_problem(cfg)
+    return cfg, prob, bp
 
 
 def trailing_mean_change(objective, window=500):
@@ -48,7 +43,7 @@ def trailing_mean_change(objective, window=500):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("variant", choices=["rect", "lshape"])
+    parser.add_argument("variant", choices=sorted(PROBLEMS))
     parser.add_argument("--iterations", type=int, default=5000)
     parser.add_argument("--out", default="beam_out")
     parser.add_argument("--seed", type=int, default=1)
@@ -57,15 +52,12 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    for mode, kappa_f in (("rbto", 1e5), ("robust", 0.0)):
-        bp, opt = build(args.variant)
-        prob = bp.make_problem()
-        cfg = OptimizerConfig(seed=args.seed, kappa_f=kappa_f,
-                              iterations=args.iterations, **opt)
+    for mode in ("rbto", "robust"):
+        cfg, prob, bp = build(args.variant, mode, args.seed, args.iterations)
         t0 = time.perf_counter()
-        theta, hist = run(prob, cfg)
+        theta, hist = run(prob, cfg.optimizer)
         wall = time.perf_counter() - t0
-        post = mc_estimate(prob.limit_state, theta, prob.random_input, 10**4,
+        post = mc_estimate(prob.limit_state, theta, prob.random_input, cfg.posthoc.n_samples,
                            SampleStream(args.seed, ("posthoc", mode)))
         rho = fem.filter_forward(bp.weights, theta)
         grid = bp.density_grid(rho)

@@ -15,14 +15,13 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import fem, truss
 from .reliability import (
-    EstimatorConfig,
     HybridConfig,
     McConfig,
     SubsetConfig,
@@ -37,31 +36,39 @@ class ConfigError(ValueError):
     pass
 
 
-_ESTIMATORS = {"mc": McConfig, "subset": SubsetConfig, "hybrid": HybridConfig}
-_ESTIMATOR_KEYS = {
-    method: {"method"} | {f.name for f in fields(cls)} for method, cls in _ESTIMATORS.items()
-}
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
 
-_PROBLEM_KEYS = {
-    "truss": {"c0", "p_load", "theta0"},
-    "beam": {"nx", "ny", "c_max", "tau", "p0_load", "load_coeff", "e0_mean",
-             "e0_std", "theta0"},
-    "lbeam": {"n_grid", "c_max", "tau", "p0_load", "load_coeff", "e0_mean",
-              "e0_std", "theta0"},
+
+_ESTIMATORS = {"mc": McConfig, "subset": SubsetConfig, "hybrid": HybridConfig}
+_ESTIMATOR_KEYS = {method: {"method"} | _field_names(cls) for method, cls in _ESTIMATORS.items()}
+
+_BEAM_KEYS = _field_names(fem.BeamConfig) - {"variant"}
+_PROBLEM_KEYS = {  # each beam variant takes only its own mesh size
+    "truss": _field_names(truss.TrussProblem),
+    "beam": _BEAM_KEYS - {"n_grid"},
+    "lbeam": _BEAM_KEYS - {"nx", "ny"},
 }
 
 _INPUT_DIM = {"truss": 1, "beam": 2, "lbeam": 2}  # uncertain inputs of each problem
 
-_TOP_KEYS = {
-    "problem", "mode", "seed", "iterations", "eta", "n", "m", "kappa_f",
-    "p_a", "alpha0", "beta0", "eta_f", "estimator", "problem_params",
-    "posthoc_samples", "out_dir", "theta",
+_OPTIMIZER_KEYS = _field_names(OptimizerConfig) - {"estimator"}
+_TOP_KEYS = _field_names(OptimizerConfig) | {
+    "problem", "mode", "problem_params", "posthoc_samples", "out_dir", "theta",
 }
-_NUMBER_KEYS = ("iterations", "eta", "n", "m", "kappa_f", "p_a", "alpha0", "beta0",
-                "eta_f", "posthoc_samples")
-_INT_KEYS = {"iterations", "n", "m", "posthoc_samples", "n_samples", "max_levels",
-             "n_fit", "pce_order", "nx", "ny", "n_grid"}
+# keys whose dataclass field is an int (a string under postponed annotations)
+_INT_KEYS = {"posthoc_samples"} | {
+    f.name
+    for cls in (OptimizerConfig, *_ESTIMATORS.values(), truss.TrussProblem, fem.BeamConfig)
+    for f in fields(cls) if f.type in (int, "int")
+}
 
+_BEAM_DEFAULTS = dict(
+    iterations=5_000, m=25, kappa_f=1e5, p_a=1e-3,
+    alpha0=1e-5, beta0=1e-5, eta_f=1e-5, posthoc_samples=10**4,
+    estimator=dict(method="hybrid", gamma=25.0, n_samples=5 * 10**4,
+                   n_fit=100, pce_order=4),
+)
 _DEFAULTS = {
     "truss": dict(
         iterations=10_000, eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3,
@@ -69,46 +76,33 @@ _DEFAULTS = {
         estimator=dict(method="hybrid", gamma=2.5, n_samples=10**6,
                        n_fit=100, pce_order=4),
     ),
-    "beam": dict(
-        iterations=5_000, eta=0.02, n=8, m=25, kappa_f=1e5, p_a=1e-3,
-        alpha0=1e-5, beta0=1e-5, eta_f=1e-5, posthoc_samples=10**4,
-        estimator=dict(method="hybrid", gamma=25.0, n_samples=5 * 10**4,
-                       n_fit=100, pce_order=4),
-    ),
-    "lbeam": dict(
-        iterations=5_000, eta=0.035, n=4, m=25, kappa_f=1e5, p_a=1e-3,
-        alpha0=1e-5, beta0=1e-5, eta_f=1e-5, posthoc_samples=10**4,
-        estimator=dict(method="hybrid", gamma=25.0, n_samples=5 * 10**4,
-                       n_fit=100, pce_order=4),
-    ),
+    "beam": dict(_BEAM_DEFAULTS, eta=0.02, n=8),
+    "lbeam": dict(_BEAM_DEFAULTS, eta=0.035, n=4),
 }
 
 
 @dataclass
 class RunConfig:
+    """A validated run configuration: the objects built from it, and `echo`, the
+    config with every default filled in, which re-parses to an equal RunConfig."""
+
     problem: str
     mode: str
-    seed: int
-    iterations: int
-    eta: float
-    n: int
-    m: int
-    kappa_f: float
-    p_a: float
-    alpha0: float
-    beta0: float
-    eta_f: float
-    estimator: dict
-    posthoc_samples: int
-    estimator_config: EstimatorConfig
+    optimizer: OptimizerConfig  # kappa_f = 0 in robust mode
+    posthoc: McConfig
     problem_spec: truss.TrussProblem | fem.BeamConfig
-    problem_params: dict = field(default_factory=dict)
+    echo: dict
     out_dir: str | None = None
-    theta: object = None  # estimate subcommand: fixed design
+    theta: list | dict | None = None  # estimate subcommand: fixed design
+
+    # the benchmark harness reads these two off load_config
+    @property
+    def p_a(self) -> float:
+        return self.optimizer.p_a
 
     @property
-    def effective_kappa_f(self) -> float:
-        return 0.0 if self.mode == "robust" else self.kappa_f
+    def m(self) -> int:
+        return self.optimizer.m
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -123,12 +117,14 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _number(value, key: str, where: str = ""):
-    """value as an int or a float, by key; a ConfigError naming the key otherwise."""
-    kind = int if key in _INT_KEYS else float
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}{key} must be a number, got {value!r}") from None
+    """value as the int or float its key's field declares; a ConfigError naming the key otherwise."""
+    if type(value) not in (int, float):  # a JSON true/false is not a number
+        raise ConfigError(f"{where}{key} must be a number, got {value!r}")
+    if key not in _INT_KEYS:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _problem_spec(problem: str, params: dict) -> truss.TrussProblem | fem.BeamConfig:
@@ -150,39 +146,51 @@ def _problem_spec(problem: str, params: dict) -> truss.TrussProblem | fem.BeamCo
         raise ConfigError(f"problem_params: {err}") from None
 
 
+def _check_theta(spec) -> list | dict | None:
+    """The estimate subcommand's design: a list of numbers, {"uniform": v} or {"csv": path}."""
+    if spec is None:
+        return None
+    if isinstance(spec, list):
+        return [_number(v, f"theta[{i}]") for i, v in enumerate(spec)]
+    _require(isinstance(spec, dict) and len(spec) == 1 and set(spec) <= {"uniform", "csv"},
+             "theta must be a list, {'uniform': v}, or {'csv': path}")
+    if "uniform" in spec:
+        return {"uniform": _number(spec["uniform"], "uniform", "theta.")}
+    path = spec["csv"]
+    _require(isinstance(path, str) and os.path.isfile(path), f"theta.csv: no file {path!r}")
+    return spec
+
+
 def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
     _require("problem" in raw, "missing required field 'problem'")
     problem = raw["problem"]
-    _require(problem in _DEFAULTS, f"problem must be one of {sorted(_DEFAULTS)}, got {problem!r}")
+    _require(isinstance(problem, str) and problem in _DEFAULTS,
+             f"problem must be one of {sorted(_DEFAULTS)}, got {problem!r}")
     _require("seed" in raw, "missing required field 'seed'")
-    _require(isinstance(raw["seed"], int) and raw["seed"] >= 0,
-             "seed must be a non-negative integer")
 
-    merged = dict(_DEFAULTS[problem])
-    for key, val in raw.items():
-        if key in ("problem", "problem_params", "estimator", "theta"):
-            continue
-        merged[key] = val
     est = dict(_DEFAULTS[problem]["estimator"])
     if "estimator" in raw:
         _require(isinstance(raw["estimator"], dict), "estimator must be an object")
         user_est = dict(raw["estimator"])
         method = user_est.get("method", est["method"])
-        _require(method in _ESTIMATOR_KEYS,
+        _require(isinstance(method, str) and method in _ESTIMATOR_KEYS,
                  f"estimator.method must be one of {sorted(_ESTIMATOR_KEYS)}, got {method!r}")
         if method != est["method"]:
             est = {"method": method}
         _reject_unknown(user_est, _ESTIMATOR_KEYS[method], f"estimator ({method})")
         est.update(user_est)
-        est["method"] = method
     params = raw.get("problem_params", {})
     _require(isinstance(params, dict), "problem_params must be an object")
     _reject_unknown(params, _PROBLEM_KEYS[problem], f"problem_params ({problem})")
+    merged = {"problem": problem, "mode": "rbto", "seed": raw["seed"], **_DEFAULTS[problem],
+              **raw, "estimator": est, "problem_params": dict(params)}
 
-    mode = merged.get("mode", "rbto")
+    mode = merged["mode"]
     _require(mode in ("rbto", "robust"), f"mode must be 'rbto' or 'robust', got {mode!r}")
+    out_dir = merged.get("out_dir")
+    _require(out_dir is None or isinstance(out_dir, str), "out_dir must be a string")
 
     est_kw = {key: _number(v, key, "estimator.") for key, v in est.items() if key != "method"}
     try:
@@ -191,29 +199,30 @@ def parse_config(raw: dict) -> RunConfig:
             est_cfg.check_fit_count(_INPUT_DIM[problem])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"estimator: {err}") from None
+    opt_kw = {key: _number(merged[key], key) for key in _OPTIMIZER_KEYS}
+    posthoc_samples = _number(merged["posthoc_samples"], "posthoc_samples")
+    try:
+        optimizer = OptimizerConfig(estimator=est_cfg, **opt_kw)
+        posthoc = McConfig(n_samples=posthoc_samples)
+    except ValueError as err:
+        raise ConfigError(str(err).replace("n_samples", "posthoc_samples")) from None
+    if mode == "robust":
+        optimizer = replace(optimizer, kappa_f=0.0)
 
-    cfg = RunConfig(
+    return RunConfig(
         problem=problem,
         mode=mode,
-        seed=merged["seed"],
-        **{key: _number(merged[key], key) for key in _NUMBER_KEYS},
-        estimator=est,
-        estimator_config=est_cfg,
+        optimizer=optimizer,
+        posthoc=posthoc,
         problem_spec=_problem_spec(problem, params),
-        problem_params=dict(params),
-        out_dir=merged.get("out_dir"),
-        theta=raw.get("theta"),
+        echo=merged,
+        out_dir=out_dir,
+        theta=_check_theta(merged.get("theta")),
     )
-    for name, positive in (("iterations", cfg.iterations), ("n", cfg.n), ("m", cfg.m),
-                           ("posthoc_samples", cfg.posthoc_samples)):
-        _require(positive >= 1, f"{name} must be >= 1")
-    _require(cfg.eta > 0, "eta must be > 0")
-    _require(cfg.kappa_f >= 0, "kappa_f must be >= 0")
-    _require(0 < cfg.p_a < 1, "p_a must lie in (0, 1)")
-    return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, **overrides) -> RunConfig:
+    """The config at path, with the keys in overrides (the --seed/--iterations flags) replaced."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -221,6 +230,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON at {path}:{err.lineno}:{err.colno}: {err.msg}")
+    if isinstance(raw, dict):
+        raw.update(overrides)
     return parse_config(raw)
 
 
@@ -292,15 +303,9 @@ def _summary_design(cfg: RunConfig, context, theta: np.ndarray, out_dir: Path) -
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem, context = build_problem(cfg)
-    opt_cfg = OptimizerConfig(
-        eta=cfg.eta, n=cfg.n, m=cfg.m, kappa_f=cfg.effective_kappa_f,
-        p_a=cfg.p_a, iterations=cfg.iterations,
-        estimator=cfg.estimator_config, seed=cfg.seed,
-        alpha0=cfg.alpha0, beta0=cfg.beta0, eta_f=cfg.eta_f,
-    )
     start = time.perf_counter()
     try:
-        theta, hist = run_optimizer(problem, opt_cfg)
+        theta, hist = run_optimizer(problem, cfg.optimizer)
     except OptimizerError as err:
         if err.history is not None:
             write_history_csv(out_dir / "history.csv", err.history)
@@ -311,21 +316,21 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     # post-run check with a fresh high-accuracy Monte Carlo call
     posthoc = run_estimator(
         problem.limit_state, theta, problem.random_input,
-        McConfig(n_samples=cfg.posthoc_samples), SampleStream(cfg.seed, ("posthoc",)),
+        cfg.posthoc, SampleStream(cfg.optimizer.seed, ("posthoc",)),
     )
 
     write_history_csv(out_dir / "history.csv", hist)
     summary = {
         "problem": cfg.problem,
         "mode": cfg.mode,
-        "seed": cfg.seed,
+        "seed": cfg.optimizer.seed,
         "design": _summary_design(cfg, context, theta, out_dir),
         "final_p_f": posthoc.p_hat,
-        "posthoc_samples": cfg.posthoc_samples,
+        "posthoc_samples": cfg.posthoc.n_samples,
         "n_exact_g_evals": hist.n_exact_g_evals,
         "n_objective_evals": hist.n_objective_evals,
         "wall_time_s": wall,
-        "config": _echo_config(cfg),
+        "config": cfg.echo,
     }
     _atomic_write(out_dir / "summary.json",
                   lambda fh: fh.write(json.dumps(summary, indent=2) + "\n"))
@@ -334,41 +339,28 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _echo_config(cfg: RunConfig) -> dict:
-    echo = {
-        "problem": cfg.problem, "mode": cfg.mode, "seed": cfg.seed,
-        "iterations": cfg.iterations, "eta": cfg.eta, "n": cfg.n, "m": cfg.m,
-        "kappa_f": cfg.kappa_f, "p_a": cfg.p_a,
-        "alpha0": cfg.alpha0, "beta0": cfg.beta0, "eta_f": cfg.eta_f,
-        "estimator": cfg.estimator, "posthoc_samples": cfg.posthoc_samples,
-        "problem_params": cfg.problem_params,
-    }
-    if cfg.out_dir is not None:
-        echo["out_dir"] = cfg.out_dir
-    if cfg.theta is not None:
-        echo["theta"] = cfg.theta
-    return echo
-
-
 def _resolve_theta(cfg: RunConfig, problem, context) -> np.ndarray:
     spec = cfg.theta
     if spec is None:
         return problem.theta0
     if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=float)
-        if arr.shape != (problem.dim,):
-            raise ConfigError(f"theta must have {problem.dim} entries")
-        return arr
-    if isinstance(spec, dict) and "uniform" in spec:
-        return np.full(problem.dim, float(spec["uniform"]))
-    if isinstance(spec, dict) and "csv" in spec:
-        grid = np.loadtxt(spec["csv"], delimiter=",")
+        theta = np.asarray(spec)
+    elif "uniform" in spec:
+        theta = np.full(problem.dim, spec["uniform"])
+    else:
+        try:
+            grid = np.loadtxt(spec["csv"], delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ConfigError(f"theta.csv: {err}") from None
         if cfg.problem == "truss":
-            return grid.ravel()[: problem.dim]
-        nx, ny = context.mesh.grid_shape
-        ex, ey = context.mesh.elem_grid[:, 0], context.mesh.elem_grid[:, 1]
-        return grid[ny - 1 - ey, ex]
-    raise ConfigError("theta must be a list, {'uniform': v}, or {'csv': path}")
+            theta = grid.ravel()[: problem.dim]
+        else:
+            nx, ny = context.mesh.grid_shape
+            _require(grid.shape == (ny, nx), f"theta.csv must hold a {ny} x {nx} grid")
+            ex, ey = context.mesh.elem_grid[:, 0], context.mesh.elem_grid[:, 1]
+            theta = grid[ny - 1 - ey, ex]
+    _require(theta.shape == (problem.dim,), f"theta must have {problem.dim} entries")
+    return theta
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
@@ -376,8 +368,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
     theta = _resolve_theta(cfg, problem, context)
     try:
         result = run_estimator(
-            problem.limit_state, theta, problem.random_input, cfg.estimator_config,
-            SampleStream(cfg.seed, ("estimate",)),
+            problem.limit_state, theta, problem.random_input, cfg.optimizer.estimator,
+            SampleStream(cfg.optimizer.seed, ("estimate",)),
         )
     except SubsetStallError as err:
         print(f"estimator stalled: {err}", file=sys.stderr)
@@ -408,12 +400,10 @@ def main(argv=None) -> int:
         cmd.add_argument("--iterations", type=int, help="override iteration count")
     args = parser.parse_args(argv)
 
+    overrides = {key: getattr(args, key) for key in ("seed", "iterations")
+                 if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.iterations is not None:
-            cfg.iterations = args.iterations
+        cfg = load_config(args.config, **overrides)
         if args.command == "run":
             out_dir = Path(args.out or cfg.out_dir or ".")
             return cmd_run(cfg, out_dir)

@@ -95,8 +95,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.eta <= 0.0:
             raise ValueError("eta must be > 0")
-        if self.n < 1 or self.m < 1 or self.iterations < 1:
-            raise ValueError("n, m, iterations must be >= 1")
+        for key in ("n", "m", "iterations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kappa_f < 0.0:
             raise ValueError("kappa_f must be >= 0")
         if not 0.0 < self.p_a < 1.0:
@@ -122,10 +125,6 @@ class RunHistory:
     final_beta: np.ndarray | None = None
     n_exact_g_evals: int = 0
     n_objective_evals: int = 0
-
-    def p_f_at(self, k: int) -> float | None:
-        hit = np.nonzero(self.p_f_iterations == k)[0]
-        return float(self.p_f_values[hit[0]]) if hit.size else None
 
 
 def project(theta: np.ndarray, lower, upper) -> np.ndarray:

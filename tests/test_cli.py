@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rbto.cli import ConfigError, load_config, main, parse_config
+from rbto.reliability import HybridConfig
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -26,16 +27,26 @@ def truss_smoke_config(**over):
     return cfg
 
 
+def assert_config_error(tmp_path, capsys, argv, message):
+    """main(argv) exits 2 with a one-line message and creates no output directory."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert re.search(f"config error: .*{message}", err)
+    assert not out.exists()
+
+
 class TestConfigParsing:
     def test_defaults_filled_per_problem(self):
         cfg = parse_config({"problem": "truss", "seed": 1})
-        assert cfg.iterations == 10000
-        assert cfg.eta == 1e-5
-        assert cfg.estimator["method"] == "hybrid"
-        assert cfg.estimator["gamma"] == 2.5
-        beam = parse_config({"problem": "beam", "seed": 1})
+        assert cfg.optimizer.iterations == 10000
+        assert cfg.optimizer.eta == 1e-5
+        assert isinstance(cfg.optimizer.estimator, HybridConfig)
+        assert cfg.optimizer.estimator.gamma == 2.5
+        beam = parse_config({"problem": "beam", "seed": 1}).optimizer
         assert beam.n == 8 and beam.m == 25 and beam.eta == 0.02
-        assert beam.estimator["gamma"] == 25.0
+        assert beam.estimator.gamma == 25.0
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key.*etaa"):
@@ -72,15 +83,36 @@ class TestConfigParsing:
         ({"estimator": {"method": "hybrid", "n_fit": 3}}, "basis size"),
         ({"problem_params": {"theta0": [5.0, 0.7]}}, "theta0"),
         ({"kappa_c": [1.0]}, "unknown key.*kappa_c"),
-    ], ids=["iterations", "p0", "n_grid", "n_fit", "theta0", "kappa_c"])
+        ({"iterations": 2.7}, "iterations must be an integer"),
+        ({"seed": True}, "seed must be a number"),
+        ({"posthoc_samples": 0}, "posthoc_samples must be >= 1"),
+        ({"out_dir": 5}, "out_dir must be a string"),
+        ({"problem": ["truss"]}, "problem must be one of"),
+        ({"estimator": {"method": ["mc"]}}, "estimator.method must be one of"),
+    ], ids=["iterations", "p0", "n_grid", "n_fit", "theta0", "kappa_c", "iterations_float",
+            "seed_bool", "posthoc_samples", "out_dir", "problem_list", "method_list"])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
-        out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert re.search(f"config error: .*{message}", err)
-        assert not out.exists()
+        assert_config_error(tmp_path, capsys, ["run", path], message)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--iterations", "0", "iterations must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ], ids=["iterations", "seed"])
+    def test_malformed_override_exits_2_before_any_work(self, tmp_path, capsys, flag, value,
+                                                        message):
+        path = write_config(tmp_path, {"problem": "truss", "seed": 1})
+        assert_config_error(tmp_path, capsys, ["run", path, flag, value], message)
+
+    @pytest.mark.parametrize("theta, message", [
+        ({"uniform": "x"}, "theta.uniform must be a number"),
+        ([0.3, "a"], r"theta\[1\] must be a number"),
+        ({"csv": "missing.csv"}, "theta.csv: no file"),
+    ], ids=["uniform", "list", "csv"])
+    def test_malformed_theta_exits_2(self, tmp_path, capsys, theta, message):
+        path = write_config(tmp_path, {"problem": "truss", "seed": 1, "theta": theta,
+                                       "estimator": {"method": "mc", "n_samples": 100}})
+        assert_config_error(tmp_path, capsys, ["estimate", path], message)
 
     def test_range_validation(self):
         with pytest.raises(ConfigError, match="p_a"):

@@ -23,11 +23,25 @@ def test_estimator_comparison_runs():
     assert [r.split()[0] for r in rows[2:]] == ["monte-carlo", "subset", "hybrid"]
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # running these in full takes half a minute or more; importing them checks
 # every name they take from the package
 @pytest.mark.parametrize("name", ["truss_study", "beam_study"])
 def test_study_script_imports(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(load_script(name).main)
+
+
+@pytest.mark.parametrize("variant", ["rect", "lshape"])
+def test_beam_study_builds_each_run(variant):
+    build = load_script("beam_study").build
+    for mode in ("rbto", "robust"):
+        cfg, prob, bp = build(variant, mode, seed=1, iterations=10)
+        assert cfg.optimizer.iterations == 10
+        assert (cfg.optimizer.kappa_f > 0) == (mode == "rbto")
+        assert prob.dim == bp.mesh.n_elems
