@@ -121,6 +121,8 @@ def _number(value, key: str, where: str = ""):
     if type(value) not in (int, float):  # a JSON true/false is not a number
         raise ConfigError(f"{where}{key} must be a number, got {value!r}")
     if key not in _INT_KEYS:
+        if not abs(value) <= sys.float_info.max:  # NaN, Infinity (json.load accepts both), huge ints
+            raise ConfigError(f"{where}{key} must be finite, got {value!r}")
         return float(value)
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
@@ -349,7 +351,10 @@ def _resolve_theta(cfg: RunConfig, problem, context) -> np.ndarray:
         theta = np.full(problem.dim, spec["uniform"])
     else:
         try:
-            grid = np.loadtxt(spec["csv"], delimiter=",", ndmin=2)
+            lines = Path(spec["csv"]).read_text().splitlines()
+            if lines[:1] == ["lambda,delta"]:  # the header of a truss run's design.csv
+                lines = lines[1:]
+            grid = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError as err:
             raise ConfigError(f"theta.csv: {err}") from None
         if cfg.problem == "truss":

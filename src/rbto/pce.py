@@ -16,6 +16,9 @@ import numpy as np
 from .sampling import RandomInput
 
 
+EVAL_CHUNK = 1 << 14  # rows per chunk when evaluating a fitted surrogate
+
+
 class PceFitError(FloatingPointError):
     pass
 
@@ -64,11 +67,17 @@ def _hermite_table(x: np.ndarray, max_order: int) -> np.ndarray:
     return out
 
 
-def basis_matrix(u: np.ndarray, indices: MultiIndexSet) -> np.ndarray:
-    """Evaluate all basis functions at u-space points, shape (n, n_terms)."""
+def _points(u, indices: MultiIndexSet) -> np.ndarray:
+    """u as an (n, dim) float array of u-space points."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != indices.dim:
         raise ValueError(f"points have dim {u.shape[1]}, index set has dim {indices.dim}")
+    return u
+
+
+def basis_matrix(u: np.ndarray, indices: MultiIndexSet) -> np.ndarray:
+    """Evaluate all basis functions at u-space points, shape (n, n_terms)."""
+    u = _points(u, indices)
     tables = _hermite_table(u, indices.order)  # (n, d, order+1)
     idx = np.array(indices.indices)  # (n_terms, d)
     psi = np.ones((u.shape[0], len(indices)))
@@ -93,10 +102,23 @@ class PceModel:
             raise ValueError("coefficients must be finite")
 
     def evaluate_u(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate at u-space points; shape (n,) for a matrix, scalar for a vector."""
-        u_arr = np.asarray(u, dtype=float)
-        vals = basis_matrix(u_arr, self.indices) @ self.coefficients
-        return float(vals[0]) if u_arr.ndim == 1 else vals
+        """Evaluate at u-space points; shape (n,) for a matrix, scalar for a vector.
+
+        Sums the expansion term by term over chunks of EVAL_CHUNK rows, so the
+        (n, n_terms) basis matrix is never built.
+        """
+        points = _points(u, self.indices)
+        vals = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], EVAL_CHUNK):
+            tables = _hermite_table(points[start:start + EVAL_CHUNK], self.indices.order)
+            acc = np.zeros(tables.shape[0])
+            for coef, index in zip(self.coefficients, self.indices.indices):
+                term = coef * tables[:, 0, index[0]]
+                for d in range(1, self.indices.dim):
+                    term *= tables[:, d, index[d]]
+                acc += term
+            vals[start:start + EVAL_CHUNK] = acc
+        return float(vals[0]) if np.ndim(u) == 1 else vals
 
     def evaluate(self, xi_physical: np.ndarray):
         """Evaluate at physical-space points via the u-space transform."""

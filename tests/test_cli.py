@@ -114,6 +114,17 @@ class TestConfigParsing:
                                        "estimator": {"method": "mc", "n_samples": 100}})
         assert_config_error(tmp_path, capsys, ["estimate", path], message)
 
+    @pytest.mark.parametrize("over, message", [
+        ({"eta": float("nan")}, "eta must be finite, got nan"),
+        ({"estimator": {"method": "hybrid", "gamma": float("inf")}},
+         "estimator.gamma must be finite, got inf"),
+        ({"eta": 10**400}, "eta must be finite"),  # an int beyond the float range
+        ({"iterations": float("nan")}, "iterations must be an integer, got nan"),
+    ], ids=["eta_nan", "gamma_inf", "eta_huge_int", "iterations_nan"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, over, message):
+        path = write_config(tmp_path, truss_smoke_config(**over))
+        assert_config_error(tmp_path, capsys, ["run", path], message)
+
     def test_range_validation(self):
         with pytest.raises(ConfigError, match="p_a"):
             parse_config({"problem": "truss", "seed": 1, "p_a": 2.0})
@@ -263,6 +274,22 @@ class TestEstimateCommand:
         ladder_line = [l for l in out.splitlines() if "threshold ladder" in l][0]
         values = [float(v) for v in ladder_line.split(":")[1].split(">")]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_truss_design_csv_round_trips(self, tmp_path, capsys):
+        path = write_config(tmp_path, truss_smoke_config())
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        design = out / "design.csv"
+        header, row = design.read_text().splitlines()
+        assert header == "lambda,delta"
+        capsys.readouterr()
+
+        cfg = truss_smoke_config(theta={"csv": str(design)})
+        assert main(["estimate", write_config(tmp_path, cfg, "from_csv.json")]) == 0
+        from_csv = capsys.readouterr().out
+        cfg = truss_smoke_config(theta=[float(v) for v in row.split(",")])
+        assert main(["estimate", write_config(tmp_path, cfg, "from_list.json")]) == 0
+        assert from_csv == capsys.readouterr().out
 
     def test_uniform_theta_for_beam(self, tmp_path, capsys):
         cfg = {

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from rbto.fem import (
     BeamConfig,
     BeamProblem,
     SolverError,
+    band_order,
     build_filter,
     build_lshape_mesh,
     build_rect_mesh,
@@ -55,6 +58,24 @@ class TestMeshes:
     def test_lshape_counts(self):
         assert build_lshape_mesh(72).n_elems == 2880
         assert build_lshape_mesh(6).n_elems == 20
+
+    def test_lshape_node_and_support_counts(self):
+        m = build_lshape_mesh(72)
+        assert len(m.nodes) == 73 * 73 - 48 * 48
+        assert m.fixed_dofs.tolist() == sorted(
+            2 * i + k for i in np.flatnonzero(m.nodes[:, 1] == 72.0) for k in (0, 1)
+        )
+        assert m.fixed_dofs.size == 2 * 25  # the top edge of the 24-element leg
+
+    def test_tiny_rect_matches_hand_written_grid(self):
+        m = build_rect_mesh(2, 1)
+        assert m.nodes.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]]
+        assert m.nodes.dtype == float
+        assert m.elems.tolist() == [[0, 2, 3, 1], [2, 4, 5, 3]]
+        assert m.elem_grid.tolist() == [[0, 0], [1, 0]]
+        assert m.edofs[1].tolist() == [4, 5, 8, 9, 10, 11, 6, 7]
+        assert m.fixed_dofs.tolist() == [0, 2, 9]
+        assert np.flatnonzero(m.load_vector).tolist() == [3]
 
     def test_lshape_load_on_boundary(self):
         m = build_lshape_mesh(12)
@@ -131,6 +152,40 @@ class TestSolve:
         bp = BeamProblem(BeamConfig(nx=nx, ny=ny))
         _, c = solve_compliance(bp.op, np.ones(m.n_elems))
         assert c == pytest.approx(c_ref, rel=1e-8)
+
+    def test_rcm_ordered_lshape_against_dense_oracle(self):
+        m = build_lshape_mesh(12)
+        op = BandedOperator(m, element_stiffness())
+        assert not np.array_equal(op.free_dofs, m.free_dofs)  # RCM order is in use
+        assert np.array_equal(np.sort(op.free_dofs), m.free_dofs)
+        ke = classic_q4_plane_stress()
+        k_dense = np.zeros((m.n_dofs, m.n_dofs))
+        rho = SampleStream(61).child("rcm").rng().uniform(0.2, 1.0, m.n_elems)
+        for edof, r in zip(m.edofs, rho):
+            k_dense[np.ix_(edof, edof)] += r**3 * ke
+        free = m.free_dofs
+        u_ref = np.zeros(m.n_dofs)
+        u_ref[free] = np.linalg.solve(k_dense[np.ix_(free, free)], m.load_vector[free])
+        u, c = solve_compliance(op, rho)
+        assert c == pytest.approx(m.load_vector @ u_ref, rel=1e-10)
+        assert np.allclose(u, u_ref, rtol=0.0, atol=1e-10 * np.abs(u_ref).max())
+
+    def test_band_order_picks_the_narrower_band(self):
+        lshape = BandedOperator(build_lshape_mesh(72), element_stiffness())
+        assert lshape.bandwidth <= 103  # 147 in natural order
+        rect_mesh = build_rect_mesh(120, 40)
+        rect = BandedOperator(rect_mesh, element_stiffness())
+        assert rect.bandwidth == 85  # RCM would give 162
+        assert np.array_equal(band_order(rect_mesh), rect_mesh.free_dofs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_raises(self, bad):
+        m = build_lshape_mesh(6)
+        op = BandedOperator(m, element_stiffness())
+        scale = np.ones(m.n_elems)
+        scale[3] = bad
+        with pytest.raises(SolverError, match="non-finite"):
+            op.solve(scale, 1.0)
 
     def test_singular_system_reports_pivot(self):
         m = build_rect_mesh(4, 2)
@@ -315,6 +370,13 @@ class TestBeamProblem:
         theta2[0] += 1e-9
         bp.unit_solution(theta2)
         assert bp.n_solves == solves + 1
+
+    def test_problem_freed_by_reference_count(self):
+        bp = BeamProblem(lbeam_config(n_grid=6))
+        problem = bp.make_problem()
+        gone = weakref.ref(bp)
+        del bp, problem
+        assert gone() is None  # no reference cycle waits for the cycle collector
 
     def test_lbeam_configuration(self):
         cfg = lbeam_config()

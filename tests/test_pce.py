@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rbto.pce import (
+    EVAL_CHUNK,
     PceFitError,
+    PceModel,
     basis_matrix,
     fit_least_squares,
     hermite,
@@ -132,3 +134,19 @@ def test_physical_space_evaluate_matches_u_space():
     x = input_map.from_u(u[:5])
     assert np.allclose(model.evaluate(x), model.evaluate_u(u[:5]), atol=1e-10)
     assert model.evaluate(x[0]) == pytest.approx(model.evaluate_u(u[0]), abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_chunked_evaluation_matches_basis_matrix(dim):
+    idx = multi_indices(dim, 4)
+    stream = SampleStream(71).child("chunks", dim)
+    coef = stream.child("c").rng().standard_normal(len(idx))
+    u = stream.child("u").rng().standard_normal((2 * EVAL_CHUNK + 17, dim))
+    model = PceModel(idx, coef, RandomInput(tuple(Normal(0.0, 1.0) for _ in range(dim))))
+    reference = basis_matrix(u, idx) @ coef
+    values = model.evaluate_u(u)
+    assert values.shape == (u.shape[0],)
+    assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+    point = model.evaluate_u(u[EVAL_CHUNK + 3])
+    assert isinstance(point, float)
+    assert point == pytest.approx(reference[EVAL_CHUNK + 3], rel=1e-12, abs=1e-12)
