@@ -7,7 +7,7 @@ loop, applied to a two-bar truss benchmark and 2D compliance-constrained
 topology optimization.
 """
 from .failure_density import FailureDensityModel, initial_model, penalty_gradient
-from .pce import MultiIndexSet, PceModel, fit_least_squares, hermite, multi_indices
+from .pce import MultiIndexSet, PceModel, fit_least_squares, multi_indices
 from .reliability import (
     HybridConfig,
     LimitState,
@@ -51,7 +51,6 @@ __all__ = [
     "SubsetStallError",
     "estimate",
     "fit_least_squares",
-    "hermite",
     "hybrid_estimate",
     "initial_model",
     "mc_estimate",

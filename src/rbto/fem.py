@@ -29,7 +29,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
-from .reliability import LimitState
+from .reliability import LimitState, check_counts
 from .sampling import Lognormal, Normal, RandomInput
 from .sgd import OptimizationProblem
 
@@ -302,6 +302,7 @@ class BeamConfig:
     def __post_init__(self):
         if self.c_max <= 0.0:
             raise ValueError("c_max must be > 0")
+        check_counts(self, "nx", "ny", "n_grid")
         if self.variant not in ("rect", "lshape"):
             raise ValueError(f"unknown mesh variant {self.variant!r}")
         if self.variant == "lshape" and self.n_grid % 6 != 0:

@@ -3,7 +3,9 @@
 Basis functions are tensor products of normalized probabilists' Hermite
 polynomials He_n(x)/sqrt(n!), orthonormal under the standard-normal weight,
 over a total-degree multi-index set. Coefficients are fitted by least squares
-on i.i.d. input samples.
+on i.i.d. input samples. One three-term recurrence, _hermite_rows, produces
+the basis values for both the fit (basis_matrix) and the evaluation
+(PceModel.evaluate_u), which works through EVAL_CHUNK-row blocks in cache.
 """
 from __future__ import annotations
 
@@ -13,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import RandomInput
 
-
-EVAL_CHUNK = 1 << 14  # rows per chunk when evaluating a fitted surrogate
+EVAL_CHUNK = 1 << 14  # rows per block when evaluating or screening with a fitted surrogate
 
 
 class PceFitError(FloatingPointError):
@@ -47,24 +47,21 @@ def multi_indices(dim: int, order: int) -> MultiIndexSet:
     return MultiIndexSet(dim, order, tuple(idx))
 
 
-def hermite(n: int, x):
-    """Normalized probabilists' Hermite polynomial He_n(x)/sqrt(n!)."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    return _hermite_table(x, n)[..., n]
+def _hermite_rows(x: np.ndarray, out: np.ndarray, roots: list[float]) -> None:
+    """Fill row k of out with psi_k(x) = He_k(x)/sqrt(k!), k = 0..len(out)-1.
 
-
-def _hermite_table(x: np.ndarray, max_order: int) -> np.ndarray:
-    """Values of the normalized basis for all orders 0..max_order, stacked last."""
-    out = np.empty(x.shape + (max_order + 1,))
-    out[..., 0] = 1.0
-    if max_order >= 1:
-        out[..., 1] = x
-    for n in range(1, max_order):
-        # psi_{n+1} = (x psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1)
-        out[..., n + 1] = (x * out[..., n] - np.sqrt(n) * out[..., n - 1]) / np.sqrt(n + 1)
-    return out
+    x holds the points of one input dimension; each row of out is contiguous.
+    roots[k] = sqrt(k). The recurrence psi_{k+1} = (x psi_k - sqrt(k) psi_{k-1})
+    / sqrt(k+1) is evaluated in this operation order wherever the basis is built,
+    so a fit and its evaluation see identical basis values.
+    """
+    out[0] = 1.0
+    if len(out) > 1:
+        out[1] = x
+    for k in range(1, len(out) - 1):
+        np.multiply(out[1], out[k], out=out[k + 1])
+        out[k + 1] -= roots[k] * out[k - 1]
+        out[k + 1] /= roots[k + 1]
 
 
 def _points(u, indices: MultiIndexSet) -> np.ndarray:
@@ -78,21 +75,22 @@ def _points(u, indices: MultiIndexSet) -> np.ndarray:
 def basis_matrix(u: np.ndarray, indices: MultiIndexSet) -> np.ndarray:
     """Evaluate all basis functions at u-space points, shape (n, n_terms)."""
     u = _points(u, indices)
-    tables = _hermite_table(u, indices.order)  # (n, d, order+1)
+    rows = np.empty((indices.order + 1, u.shape[0]))
+    roots = [math.sqrt(k) for k in range(indices.order + 1)]
     idx = np.array(indices.indices)  # (n_terms, d)
     psi = np.ones((u.shape[0], len(indices)))
     for d in range(indices.dim):
-        psi *= tables[:, d, idx[:, d]]
+        _hermite_rows(u[:, d], rows, roots)
+        psi *= rows[idx[:, d]].T
     return psi
 
 
 @dataclass
 class PceModel:
-    """Fitted surrogate: index set, coefficients, and the input map."""
+    """Fitted surrogate in u-space: index set and coefficients."""
 
     indices: MultiIndexSet
     coefficients: np.ndarray
-    input: RandomInput
     condition: float = np.nan
 
     def __post_init__(self):
@@ -104,32 +102,38 @@ class PceModel:
     def evaluate_u(self, u: np.ndarray) -> np.ndarray:
         """Evaluate at u-space points; shape (n,) for a matrix, scalar for a vector.
 
-        Sums the expansion term by term over chunks of EVAL_CHUNK rows, so the
-        (n, n_terms) basis matrix is never built.
+        Works through blocks of EVAL_CHUNK rows, so every intermediate stays in
+        cache and the (n, n_terms) basis matrix is never built: each term
+        coef * prod_d psi_{k_d}(u_d) is formed in a preallocated buffer and
+        added to the block's sum in index-set order.
         """
         points = _points(u, self.indices)
-        vals = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], EVAL_CHUNK):
-            tables = _hermite_table(points[start:start + EVAL_CHUNK], self.indices.order)
-            acc = np.zeros(tables.shape[0])
+        n, dim = points.shape
+        order = self.indices.order
+        roots = [math.sqrt(k) for k in range(order + 1)]
+        block = min(n, EVAL_CHUNK)
+        tables = np.empty((dim, order + 1, block))  # psi_k of dimension d in tables[d, k]
+        prod = np.empty(block)
+        vals = np.empty(n)
+        for start in range(0, n, EVAL_CHUNK):
+            stop = min(start + EVAL_CHUNK, n)
+            rows = stop - start
+            for d in range(dim):
+                _hermite_rows(points[start:stop, d], tables[d, :, :rows], roots)
+            acc = vals[start:stop]
+            acc.fill(0.0)
             for coef, index in zip(self.coefficients, self.indices.indices):
-                term = coef * tables[:, 0, index[0]]
-                for d in range(1, self.indices.dim):
-                    term *= tables[:, d, index[d]]
+                term = np.multiply(tables[0, index[0], :rows], coef, out=prod[:rows])
+                for d in range(1, dim):
+                    term *= tables[d, index[d], :rows]
                 acc += term
-            vals[start:start + EVAL_CHUNK] = acc
         return float(vals[0]) if np.ndim(u) == 1 else vals
-
-    def evaluate(self, xi_physical: np.ndarray):
-        """Evaluate at physical-space points via the u-space transform."""
-        return self.evaluate_u(self.input.to_u(np.asarray(xi_physical, dtype=float)))
 
 
 def fit_least_squares(
     u_samples: np.ndarray,
     values: np.ndarray,
     indices: MultiIndexSet,
-    input: RandomInput,
 ) -> PceModel:
     """Least-squares coefficient fit at the given u-space sample points."""
     u_samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
@@ -151,4 +155,4 @@ def fit_least_squares(
             f"rank-deficient regression matrix (rank {rank} < {n_terms} terms, "
             f"condition estimate {cond:.3e})"
         )
-    return PceModel(indices, coef, input, condition=cond)
+    return PceModel(indices, coef, condition=cond)

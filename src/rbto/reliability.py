@@ -20,6 +20,19 @@ from . import pce
 from .sampling import RandomInput, SampleStream
 
 
+MAX_COUNT = 10**9  # upper bound of every count setting (sample sizes, iterations, mesh sizes)
+
+
+def check_counts(cfg, *keys: str) -> None:
+    """Reject the named count fields of cfg outside [1, MAX_COUNT], before any array is sized by them."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1")
+        if value > MAX_COUNT:
+            raise ValueError(f"{key} must be <= {MAX_COUNT}")
+
+
 class LimitState:
     """Wraps a vectorized exact limit-state evaluator and counts its evaluations.
 
@@ -56,8 +69,7 @@ class McConfig:
     n_samples: int = 10**6
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        check_counts(self, "n_samples")
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,7 @@ class SubsetConfig:
     max_levels: int = 20
 
     def __post_init__(self):
+        check_counts(self, "n_samples", "max_levels")  # first: n_samples * p0 needs a float-sized int
         if not 0.0 < self.p0 < 1.0:
             raise ValueError("p0 must lie in (0, 1)")
         if math.ceil(self.n_samples * self.p0) < 2:
@@ -76,8 +89,6 @@ class SubsetConfig:
             raise ValueError("need floor(1/p0) >= 2 chain length")
         if self.proposal_std <= 0.0:
             raise ValueError("proposal_std must be > 0")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,7 @@ class HybridConfig:
     def __post_init__(self):
         if self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
-        if self.n_samples < 1 or self.n_fit < 1:
-            raise ValueError("sample counts must be >= 1")
+        check_counts(self, "n_samples", "n_fit")  # n_fit also bounds pce_order, see check_fit_count
         if self.pce_order < 0:
             raise ValueError("pce_order must be >= 0")
 
@@ -252,26 +262,32 @@ def hybrid_estimate(
 
     A polynomial chaos surrogate ghat is fitted from n_fit exact evaluations;
     the large Monte Carlo batch is classified by ghat except inside the band
-    |ghat| <= gamma, where the exact model decides.
+    |ghat| <= gamma, where the exact model decides. The batch is screened in
+    blocks of pce.EVAL_CHUNK rows, so no batch-sized ghat or mask is built;
+    the band rows of all blocks go to the exact model in one call, in draw
+    order.
     """
     nd0 = g.n_evals
     cfg.check_fit_count(input.dim)
     indices = pce.multi_indices(input.dim, cfg.pce_order)
     u_fit = input.sample_u(cfg.n_fit, stream.child("fit"))
     g_fit = g.batch(theta, input.from_u(u_fit))
-    model = pce.fit_least_squares(u_fit, g_fit, indices, input)
+    model = pce.fit_least_squares(u_fit, g_fit, indices)
 
     u_mc = input.sample_u(cfg.n_samples, stream.child("mc"))
-    ghat = model.evaluate_u(u_mc)
-
-    fail = ghat < -cfg.gamma
-    band = np.abs(ghat) <= cfg.gamma
-    if np.any(band):
-        g_band = g.batch(theta, input.from_u(u_mc[band]))
-        fail[band] = g_band <= 0.0
+    n_fail = 0
+    band_rows = []
+    for start in range(0, cfg.n_samples, pce.EVAL_CHUNK):
+        block = u_mc[start:start + pce.EVAL_CHUNK]
+        ghat = model.evaluate_u(block)
+        n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
+        band_rows.append(block[np.abs(ghat) <= cfg.gamma])
+    u_band = np.concatenate(band_rows)
+    if len(u_band):
+        n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u_band)) <= 0.0))
 
     return ReliabilityEstimate(
-        p_hat=float(np.mean(fail)),
+        p_hat=n_fail / cfg.n_samples,
         method="hybrid",
         n_exact_evals=g.n_evals - nd0,
         n_surrogate_evals=cfg.n_samples,

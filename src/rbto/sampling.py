@@ -10,6 +10,7 @@ deviation and are moment-matched:
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -53,6 +54,11 @@ class Lognormal:
 RandomVariable = Normal | Lognormal
 
 
+@functools.lru_cache(maxsize=128)  # labels are a handful of names fixed in the code
+def _digest(label: str) -> int:
+    return int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little")
+
+
 def _encode_label(label) -> list[int]:
     # Stable across processes; never use built-in hash() here.
     if isinstance(label, (int, np.integer)):
@@ -60,8 +66,7 @@ def _encode_label(label) -> list[int]:
             raise ValueError(f"stream path labels must be non-negative, got {label}")
         return [1, int(label)]
     if isinstance(label, str):
-        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-        return [2, int.from_bytes(digest, "little")]
+        return [2, _digest(label)]
     raise TypeError(f"stream path labels must be int or str, got {type(label).__name__}")
 
 

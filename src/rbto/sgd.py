@@ -31,6 +31,7 @@ from .reliability import (
     EstimatorConfig,
     LimitState,
     SubsetStallError,
+    check_counts,
     estimate,
 )
 from .sampling import RandomInput, SampleStream
@@ -95,9 +96,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.eta <= 0.0:
             raise ValueError("eta must be > 0")
-        for key in ("n", "m", "iterations"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
+        check_counts(self, "n", "m", "iterations")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.kappa_f < 0.0:

@@ -219,7 +219,6 @@ def test_criterion_6_gradient_correctness():
 
 
 def test_criterion_7_pce_exact_recovery():
-    input_2d = RandomInput((Normal(0.0, 1.0), Normal(0.0, 1.0)))
     idx = multi_indices(2, 4)
     worst = 0.0
     for rep in range(5):
@@ -227,7 +226,7 @@ def test_criterion_7_pce_exact_recovery():
         coef_true = rng.standard_normal(len(idx))
         u = rng.standard_normal((2 * len(idx), 2))
         values = basis_matrix(u, idx) @ coef_true
-        model = fit_least_squares(u, values, idx, input_2d)
+        model = fit_least_squares(u, values, idx)
         worst = max(worst, np.abs(model.coefficients - coef_true).max())
     assert worst < 1e-10
     report(7, f"degree-4 polynomials recovered with n_fit = 2x basis size, "

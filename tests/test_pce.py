@@ -9,14 +9,15 @@ from rbto.pce import (
     PceModel,
     basis_matrix,
     fit_least_squares,
-    hermite,
     multi_indices,
 )
-from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream
+from rbto.sampling import SampleStream
 from rbto.truss import TrussProblem, limit_state
 
-U1 = RandomInput((Normal(0.0, 1.0),))
-U2 = RandomInput((Normal(0.0, 1.0), Normal(0.0, 1.0)))
+
+def hermite_table(x, order):
+    """psi_k(x) = He_k(x)/sqrt(k!) for k = 0..order, one column each: the 1-D basis."""
+    return basis_matrix(np.reshape(x, (-1, 1)), multi_indices(1, order))
 
 
 def test_multi_index_cardinalities():
@@ -34,18 +35,18 @@ def test_multi_index_graded_order():
 
 
 def test_hermite_order_zero_is_one():
-    for x in (-3.0, 0.0, 1.7):
-        assert hermite(0, x) == 1.0
+    assert np.array_equal(hermite_table([-3.0, 0.0, 1.7], 3)[:, 0], np.ones(3))
 
 
 def test_hermite_second_order_at_zero():
     # He_2(x) = x^2 - 1 normalized by sqrt(2!)
-    assert hermite(2, 0.0) == pytest.approx(-0.7071068, abs=1e-7)
+    assert hermite_table([0.0], 2)[0, 2] == pytest.approx(-0.7071068, abs=1e-7)
 
 
 def test_hermite_orthonormality_monte_carlo():
     u = SampleStream(101).child("ortho").rng().standard_normal(10**6)
-    inner = np.mean(hermite(2, u) * hermite(3, u))
+    psi = hermite_table(u, 3)
+    inner = np.mean(psi[:, 2] * psi[:, 3])
     assert abs(inner) < 5e-3
 
 
@@ -71,7 +72,7 @@ def test_exact_recovery_of_low_degree_model():
     coef2 = rng.standard_normal(len(idx2))
     u = rng.standard_normal((2 * len(idx4), 2))
     values = basis_matrix(u, idx2) @ coef2
-    model = fit_least_squares(u, values, idx4, U2)
+    model = fit_least_squares(u, values, idx4)
     # low-degree coefficients recovered, the rest vanish
     lookup = {t: c for t, c in zip(idx4.indices, model.coefficients)}
     for t, c in zip(idx2.indices, coef2):
@@ -83,7 +84,7 @@ def test_exact_recovery_of_low_degree_model():
 def test_constant_values_give_constant_model():
     idx = multi_indices(2, 3)
     u = SampleStream(5).child("const").rng().standard_normal((40, 2))
-    model = fit_least_squares(u, np.full(40, 2.5), idx, U2)
+    model = fit_least_squares(u, np.full(40, 2.5), idx)
     assert model.coefficients[0] == pytest.approx(2.5, abs=1e-12)
     assert np.abs(model.coefficients[1:]).max() < 1e-12
 
@@ -94,7 +95,7 @@ def test_truss_limit_state_surrogate_holdout():
     rng = SampleStream(17).child("truss-pce").rng()
     u_fit = rng.standard_normal((100, 1))
     g_fit = limit_state(prob, lam, delta, u_fit[:, 0])
-    model = fit_least_squares(u_fit, g_fit, multi_indices(1, 4), U1)
+    model = fit_least_squares(u_fit, g_fit, multi_indices(1, 4))
     u_out = rng.standard_normal((10**4, 1))
     g_out = limit_state(prob, lam, delta, u_out[:, 0])
     rms = np.sqrt(np.mean((model.evaluate_u(u_out) - g_out) ** 2))
@@ -106,7 +107,7 @@ def test_square_interpolation_reproduces_values():
     rng = SampleStream(23).child("interp").rng()
     u = rng.standard_normal((len(idx), 1))
     y = rng.standard_normal(len(idx))
-    model = fit_least_squares(u, y, idx, U1)
+    model = fit_least_squares(u, y, idx)
     assert np.allclose(model.evaluate_u(u), y, atol=1e-8)
 
 
@@ -114,26 +115,14 @@ def test_rank_deficient_fit_raises_with_condition():
     idx = multi_indices(1, 3)
     u = np.zeros((8, 1))  # all samples identical: rank-1 design matrix
     with pytest.raises(PceFitError, match="condition"):
-        fit_least_squares(u, np.ones(8), idx, U1)
+        fit_least_squares(u, np.ones(8), idx)
 
 
 def test_underdetermined_fit_rejected():
     idx = multi_indices(2, 4)
     u = SampleStream(1).child("few").rng().standard_normal((len(idx) - 1, 2))
     with pytest.raises(PceFitError):
-        fit_least_squares(u, np.zeros(len(idx) - 1), idx, U2)
-
-
-def test_physical_space_evaluate_matches_u_space():
-    input_map = RandomInput((Lognormal(1.0, 0.1), Normal(2.0, 0.5)))
-    idx = multi_indices(2, 2)
-    rng = SampleStream(9).child("phys").rng()
-    u = rng.standard_normal((30, 2))
-    y = 1.0 + u[:, 0] - 0.3 * u[:, 1] + 0.2 * u[:, 0] * u[:, 1]
-    model = fit_least_squares(u, y, idx, input_map)
-    x = input_map.from_u(u[:5])
-    assert np.allclose(model.evaluate(x), model.evaluate_u(u[:5]), atol=1e-10)
-    assert model.evaluate(x[0]) == pytest.approx(model.evaluate_u(u[0]), abs=1e-10)
+        fit_least_squares(u, np.zeros(len(idx) - 1), idx)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -142,7 +131,7 @@ def test_chunked_evaluation_matches_basis_matrix(dim):
     stream = SampleStream(71).child("chunks", dim)
     coef = stream.child("c").rng().standard_normal(len(idx))
     u = stream.child("u").rng().standard_normal((2 * EVAL_CHUNK + 17, dim))
-    model = PceModel(idx, coef, RandomInput(tuple(Normal(0.0, 1.0) for _ in range(dim))))
+    model = PceModel(idx, coef)
     reference = basis_matrix(u, idx) @ coef
     values = model.evaluate_u(u)
     assert values.shape == (u.shape[0],)
@@ -150,3 +139,21 @@ def test_chunked_evaluation_matches_basis_matrix(dim):
     point = model.evaluate_u(u[EVAL_CHUNK + 3])
     assert isinstance(point, float)
     assert point == pytest.approx(reference[EVAL_CHUNK + 3], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_evaluation_is_bit_identical_to_term_loop(dim):
+    # reference: sum over terms of coef * prod_d psi_{k_d}(u_d) on whole columns,
+    # psi_0 = 1 factors included, terms added in index-set order
+    idx = multi_indices(dim, 4)
+    stream = SampleStream(72).child("bits", dim)
+    coef = stream.child("c").rng().standard_normal(len(idx))
+    u = stream.child("u").rng().standard_normal((EVAL_CHUNK + 1001, dim))
+    tables = [hermite_table(u[:, d], idx.order) for d in range(dim)]
+    reference = np.zeros(len(u))
+    for c, index in zip(coef, idx.indices):
+        term = c * tables[0][:, index[0]]
+        for d in range(1, dim):
+            term *= tables[d][:, index[d]]
+        reference += term
+    assert np.array_equal(PceModel(idx, coef).evaluate_u(u), reference)

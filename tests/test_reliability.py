@@ -13,6 +13,7 @@ from rbto.reliability import (
     mc_estimate,
     subset_estimate,
 )
+from rbto.pce import EVAL_CHUNK
 from rbto.sampling import Normal, RandomInput, SampleStream
 from rbto.truss import TrussProblem, failure_probability, limit_state
 
@@ -147,6 +148,25 @@ class TestHybrid:
         ref = mc_estimate(g2, None, U1, 2000, SampleStream(12))
         assert est.p_hat == ref.p_hat
         assert est.n_exact_evals == 30 + 2000
+
+    def test_multi_block_screen_is_mc_with_one_band_call(self):
+        # an infinite band sends every screened row to the exact model: over
+        # several screening blocks the estimate is the plain MC one on the same
+        # stream, and the band rows arrive in one call, in draw order
+        n = 3 * EVAL_CHUNK + 5
+        cfg = HybridConfig(gamma=np.inf, n_samples=n, n_fit=30, pce_order=3)
+        calls = []
+
+        def record(theta, xis):
+            calls.append(xis.copy())
+            return 0.5 - xis[:, 0]
+
+        est = hybrid_estimate(LimitState(record), None, U1, cfg, SampleStream(21))
+        ref = mc_estimate(shifted_limit_state(0.5), None, U1, n, SampleStream(21))
+        assert est.p_hat == ref.p_hat
+        assert est.n_exact_evals == cfg.n_fit + n
+        assert [len(xis) for xis in calls] == [cfg.n_fit, n]
+        assert np.array_equal(calls[1], U1.sample(n, SampleStream(21).child("mc")))
 
     def test_polynomial_limit_state_with_zero_band(self):
         # quadratic g is inside the order-4 basis span: surrogate is exact, the

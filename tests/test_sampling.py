@@ -26,6 +26,15 @@ def test_same_seed_path_bit_identical():
     assert np.array_equal(a, b)
 
 
+def test_stream_words_pinned():
+    # generator output of the refresh and mini-batch paths, recorded before
+    # the label digests were cached; any change to the stream encoding shows here
+    pf = SampleStream(5).child("pf", 25).rng().standard_normal(3)
+    batch = SampleStream(5).child("batch", 7).rng().standard_normal(3)
+    assert pf.tolist() == [0.7904974087747304, 0.5204064893934327, -0.28734717707675667]
+    assert batch.tolist() == [-0.7478595379644631, 0.48762322987512324, -1.7432605059822965]
+
+
 def test_distinct_paths_are_uncorrelated():
     s = SampleStream(2024)
     a = s.child("one").rng().standard_normal(10**5)
