@@ -61,8 +61,10 @@ def main():
                            SampleStream(args.seed, ("posthoc", mode)))
         rho = fem.filter_forward(bp.weights, theta)
         grid = bp.density_grid(rho)
-        fem.write_density_pgm(out / f"{args.variant}_{mode}.pgm", grid)
-        fem.write_density_csv(out / f"{args.variant}_{mode}.csv", grid)
+        with open(out / f"{args.variant}_{mode}.pgm", "w") as fh:
+            fem.write_density_pgm(fh, grid)
+        with open(out / f"{args.variant}_{mode}.csv", "w") as fh:
+            fem.write_density_csv(fh, grid)
         stab = trailing_mean_change(hist.objective_expected)
         print(f"{args.variant} {mode:>6} seed {args.seed}: "
               f"volume fraction {np.mean(rho):.3f}, "

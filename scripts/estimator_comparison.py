@@ -29,7 +29,7 @@ def main():
     prob = truss.TrussProblem()
     delta = np.deg2rad(args.delta_deg)
     exact = truss.failure_probability(prob, args.lam, delta)
-    input_1d = RandomInput((Normal(0.0, 1.0),))
+    input_1d = RandomInput((Normal(),))
 
     configs = [
         ("monte-carlo", McConfig(n_samples=10**6)),

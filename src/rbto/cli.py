@@ -291,8 +291,8 @@ def _summary_design(cfg: RunConfig, context, theta: np.ndarray, out_dir: Path) -
         }
     rho = fem.filter_forward(context.weights, theta)
     grid = context.density_grid(rho)
-    fem.write_density_csv(out_dir / "design.csv", grid)
-    fem.write_density_pgm(out_dir / "design.pgm", grid)
+    _atomic_write(out_dir / "design.csv", lambda fh: fem.write_density_csv(fh, grid))
+    _atomic_write(out_dir / "design.pgm", lambda fh: fem.write_density_pgm(fh, grid))
     c1, _ = context.unit_solution(theta)
     return {
         "volume_fraction": float(np.mean(rho)),
@@ -358,13 +358,18 @@ def _resolve_theta(cfg: RunConfig, problem, context) -> np.ndarray:
         except ValueError as err:
             raise ConfigError(f"theta.csv: {err}") from None
         if cfg.problem == "truss":
-            theta = grid.ravel()[: problem.dim]
+            theta = grid.ravel()
         else:
             nx, ny = context.mesh.grid_shape
             _require(grid.shape == (ny, nx), f"theta.csv must hold a {ny} x {nx} grid")
             ex, ey = context.mesh.elem_grid[:, 0], context.mesh.elem_grid[:, 1]
             theta = grid[ny - 1 - ey, ex]
     _require(theta.shape == (problem.dim,), f"theta must have {problem.dim} entries")
+    outside = np.flatnonzero(~((problem.lower <= theta) & (theta <= problem.upper)))  # NaN too
+    if outside.size:
+        i = outside[0]
+        raise ConfigError(f"theta[{i}] = {theta[i]:g} lies outside the design box "
+                          f"[{problem.lower[i]:g}, {problem.upper[i]:g}]")
     return theta
 
 

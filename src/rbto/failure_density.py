@@ -33,10 +33,6 @@ class FailureDensityModel:
             raise ValueError("model parameters must be finite")
 
 
-def initial_model(dim: int, alpha0: float, beta0: float, eta_f: float) -> FailureDensityModel:
-    return FailureDensityModel(alpha0, np.full(dim, beta0), eta_f)
-
-
 def _exp_terms(model: FailureDensityModel, failed_designs: np.ndarray) -> np.ndarray:
     exponents = -model.alpha - failed_designs @ model.beta
     if np.any(exponents > MAX_EXPONENT):

@@ -5,7 +5,7 @@ polynomials He_n(x)/sqrt(n!), orthonormal under the standard-normal weight,
 over a total-degree multi-index set. Coefficients are fitted by least squares
 on i.i.d. input samples. One three-term recurrence, _hermite_rows, produces
 the basis values for both the fit (basis_matrix) and the evaluation
-(PceModel.evaluate_u), which works through EVAL_CHUNK-row blocks in cache.
+(PceModel.evaluate_u).
 """
 from __future__ import annotations
 
@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-EVAL_CHUNK = 1 << 14  # rows per block when evaluating or screening with a fitted surrogate
 
 
 class PceFitError(FloatingPointError):
@@ -100,34 +97,27 @@ class PceModel:
             raise ValueError("coefficients must be finite")
 
     def evaluate_u(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate at u-space points; shape (n,) for a matrix, scalar for a vector.
+        """Evaluate at the rows of an (n, dim) matrix of u-space points; shape (n,).
 
-        Works through blocks of EVAL_CHUNK rows, so every intermediate stays in
-        cache and the (n, n_terms) basis matrix is never built: each term
-        coef * prod_d psi_{k_d}(u_d) is formed in a preallocated buffer and
-        added to the block's sum in index-set order.
+        The (n, n_terms) basis matrix is never built: each term
+        coef * prod_d psi_{k_d}(u_d) is formed in one preallocated buffer and
+        added to the sum in index-set order. The hybrid screen passes blocks of
+        reliability.EVAL_CHUNK rows, so every intermediate stays in cache.
         """
         points = _points(u, self.indices)
         n, dim = points.shape
-        order = self.indices.order
-        roots = [math.sqrt(k) for k in range(order + 1)]
-        block = min(n, EVAL_CHUNK)
-        tables = np.empty((dim, order + 1, block))  # psi_k of dimension d in tables[d, k]
-        prod = np.empty(block)
-        vals = np.empty(n)
-        for start in range(0, n, EVAL_CHUNK):
-            stop = min(start + EVAL_CHUNK, n)
-            rows = stop - start
-            for d in range(dim):
-                _hermite_rows(points[start:stop, d], tables[d, :, :rows], roots)
-            acc = vals[start:stop]
-            acc.fill(0.0)
-            for coef, index in zip(self.coefficients, self.indices.indices):
-                term = np.multiply(tables[0, index[0], :rows], coef, out=prod[:rows])
-                for d in range(1, dim):
-                    term *= tables[d, index[d], :rows]
-                acc += term
-        return float(vals[0]) if np.ndim(u) == 1 else vals
+        roots = [math.sqrt(k) for k in range(self.indices.order + 1)]
+        tables = np.empty((dim, self.indices.order + 1, n))  # psi_k of dimension d in tables[d, k]
+        for d in range(dim):
+            _hermite_rows(points[:, d], tables[d], roots)
+        prod = np.empty(n)
+        vals = np.zeros(n)
+        for coef, index in zip(self.coefficients, self.indices.indices):
+            term = np.multiply(tables[0, index[0]], coef, out=prod)
+            for d in range(1, dim):
+                term *= tables[d, index[d]]
+            vals += term
+        return vals
 
 
 def fit_least_squares(

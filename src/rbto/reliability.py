@@ -21,6 +21,7 @@ from .sampling import RandomInput, SampleStream
 
 
 MAX_COUNT = 10**9  # upper bound of every count setting (sample sizes, iterations, mesh sizes)
+EVAL_CHUNK = 1 << 14  # rows per block when screening a batch with the fitted surrogate
 
 
 def check_counts(cfg, *keys: str) -> None:
@@ -132,8 +133,6 @@ def mc_estimate(
     stream: SampleStream,
 ) -> ReliabilityEstimate:
     """Plain Monte Carlo: fraction of i.i.d. samples with g <= 0."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     xis = input.sample(n_samples, stream.child("mc"))
     gs = g.batch(theta, xis)
     return ReliabilityEstimate(
@@ -170,7 +169,6 @@ def subset_estimate(
     input: RandomInput,
     cfg: SubsetConfig,
     stream: SampleStream,
-    level_log: list | None = None,
 ) -> ReliabilityEstimate:
     """Multi-level splitting estimate of P(g <= 0).
 
@@ -192,8 +190,6 @@ def subset_estimate(
     b_j = float(gs[n_seed - 1])
     thresholds = [b_j]
     levels = 0
-    if level_log is not None:
-        level_log.append((b_j, u.copy(), gs.copy()))
 
     if b_j <= 0.0:
         # first threshold already nonpositive: plain MC on the same samples
@@ -238,8 +234,6 @@ def subset_estimate(
         levels += 1
         b_j = float(gs[n_seed - 1])
         thresholds.append(b_j)
-        if level_log is not None:
-            level_log.append((b_j, u.copy(), gs.copy()))
 
     n_fail = int(np.sum(gs <= 0.0))
     return ReliabilityEstimate(
@@ -263,7 +257,7 @@ def hybrid_estimate(
     A polynomial chaos surrogate ghat is fitted from n_fit exact evaluations;
     the large Monte Carlo batch is classified by ghat except inside the band
     |ghat| <= gamma, where the exact model decides. The batch is screened in
-    blocks of pce.EVAL_CHUNK rows, so no batch-sized ghat or mask is built;
+    blocks of EVAL_CHUNK rows, so no batch-sized ghat or mask is built;
     the band rows of all blocks go to the exact model in one call, in draw
     order.
     """
@@ -277,8 +271,8 @@ def hybrid_estimate(
     u_mc = input.sample_u(cfg.n_samples, stream.child("mc"))
     n_fail = 0
     band_rows = []
-    for start in range(0, cfg.n_samples, pce.EVAL_CHUNK):
-        block = u_mc[start:start + pce.EVAL_CHUNK]
+    for start in range(0, cfg.n_samples, EVAL_CHUNK):
+        block = u_mc[start:start + EVAL_CHUNK]
         ghat = model.evaluate_u(block)
         n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
         band_rows.append(block[np.abs(ghat) <= cfg.gamma])

@@ -1,4 +1,4 @@
-"""Random inputs, reproducible sample streams, and standard-normal transforms.
+"""Random inputs, reproducible sample streams, and the u-space to physical-space transform.
 
 All estimators and surrogates in this package operate internally in
 standard-normal space ("u-space"); physical realizations are produced by
@@ -19,14 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Normal:
-    """Gaussian marginal. Normal(0, 1) is the standard-normal component."""
-
-    mean: float = 0.0
-    std: float = 1.0
-
-    def __post_init__(self):
-        if not self.std > 0.0:
-            raise ValueError(f"Normal std must be > 0, got {self.std}")
+    """Standard-normal marginal: the physical value is the u-space draw itself."""
 
 
 @dataclass(frozen=True)
@@ -131,27 +124,8 @@ class RandomInput:
 
     def from_u(self, u: np.ndarray) -> np.ndarray:
         """Map u-space points to physical space (vector or n x dim matrix)."""
-        u = np.asarray(u, dtype=float)
-        x = np.empty_like(u)
-        cols = u[..., None] if u.ndim == 0 else u
+        x = np.array(u, dtype=float)  # a copy; standard-normal columns stay as drawn
         for i, rv in enumerate(self.components):
-            ui = cols[..., i]
-            if isinstance(rv, Normal):
-                x[..., i] = rv.mean + rv.std * ui
-            else:
-                x[..., i] = np.exp(rv.mu_ln + rv.sigma_ln * ui)
+            if isinstance(rv, Lognormal):
+                x[..., i] = np.exp(rv.mu_ln + rv.sigma_ln * x[..., i])
         return x
-
-    def to_u(self, x: np.ndarray) -> np.ndarray:
-        """Map physical-space points to u-space; inverse of from_u."""
-        x = np.asarray(x, dtype=float)
-        u = np.empty_like(x)
-        for i, rv in enumerate(self.components):
-            xi = x[..., i]
-            if isinstance(rv, Normal):
-                u[..., i] = (xi - rv.mean) / rv.std
-            else:
-                if np.any(xi <= 0.0):
-                    raise ValueError("lognormal realization must be positive")
-                u[..., i] = (np.log(xi) - rv.mu_ln) / rv.sigma_ln
-        return u

@@ -154,7 +154,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
     """Run the optimization loop; deterministic given cfg.seed."""
     root = SampleStream(cfg.seed)
     theta = problem.theta0.copy()
-    model = fd.initial_model(problem.dim, cfg.alpha0, cfg.beta0, cfg.eta_f)
+    model = fd.FailureDensityModel(cfg.alpha0, np.full(problem.dim, cfg.beta0), cfg.eta_f)
 
     iters = cfg.iterations
     hist = RunHistory(

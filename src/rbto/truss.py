@@ -89,7 +89,7 @@ def make_problem(problem: TrussProblem | None = None) -> OptimizationProblem:
         theta0=np.asarray(prob.theta0, dtype=float),
         lower=np.array(LOWER),
         upper=np.array(UPPER),
-        random_input=RandomInput((Normal(0.0, 1.0),)),
+        random_input=RandomInput((Normal(),)),
         objective_batch=lambda theta, xis: objective(theta[0], theta[1]),
         limit_state=LimitState(lambda theta, xis: limit_state(prob, theta[0], theta[1], xis[:, 0])),
         objective_expected=lambda theta: objective(theta[0], theta[1])[0],

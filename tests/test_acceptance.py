@@ -25,7 +25,7 @@ from rbto.reliability import (
 from rbto.sampling import Normal, RandomInput, SampleStream
 from rbto.sgd import OptimizerConfig, run
 
-U1 = RandomInput((Normal(0.0, 1.0),))
+U1 = RandomInput((Normal(),))
 TRUSS = truss.TrussProblem()
 REF_DESIGN = (0.3425, np.deg2rad(43.25))
 REF_J = {1e-3: 0.4702, 1e-4: 0.6428, 1e-5: 0.8184}

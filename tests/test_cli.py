@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from rbto import fem
 from rbto.cli import ConfigError, load_config, main, parse_config
 from rbto.reliability import HybridConfig
 
@@ -108,15 +109,25 @@ class TestConfigParsing:
         path = write_config(tmp_path, {"problem": "truss", "seed": 1})
         assert_config_error(tmp_path, capsys, ["run", path, flag, value], message)
 
-    @pytest.mark.parametrize("theta, message", [
-        ({"uniform": "x"}, "theta.uniform must be a number"),
-        ([0.3, "a"], r"theta\[1\] must be a number"),
-        ({"csv": "missing.csv"}, "theta.csv: no file"),
-    ], ids=["uniform", "list", "csv"])
-    def test_malformed_theta_exits_2(self, tmp_path, capsys, theta, message):
-        path = write_config(tmp_path, {"problem": "truss", "seed": 1, "theta": theta,
-                                       "estimator": {"method": "mc", "n_samples": 100}})
-        assert_config_error(tmp_path, capsys, ["estimate", path], message)
+    @pytest.mark.parametrize("problem, theta, message", [
+        ("truss", {"uniform": "x"}, "theta.uniform must be a number"),
+        ("truss", [0.3, "a"], r"theta\[1\] must be a number"),
+        ("truss", {"csv": "missing.csv"}, "theta.csv: no file"),
+        ("truss", {"csv": "three.csv"}, "theta must have 2 entries"),
+        ("truss", [1.5, 0.0], r"theta\[0\] = 1.5 lies outside the design box \[0, 1\]"),
+        ("lbeam", {"uniform": 0}, r"theta\[0\] = 0 lies outside the design box \[0.001, 1\]"),
+        ("lbeam", {"uniform": -1}, r"theta\[0\] = -1 lies outside the design box"),
+        ("lbeam", {"uniform": 5}, r"theta\[0\] = 5 lies outside the design box"),
+    ], ids=["uniform", "list", "csv", "csv_three_values", "truss_outside_box",
+            "lbeam_zero", "lbeam_negative", "lbeam_above_one"])
+    def test_malformed_theta_exits_2(self, tmp_path, capsys, monkeypatch, problem, theta, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "three.csv").write_text("0.3425,0.7549,0.9\n")
+        cfg = {"problem": problem, "seed": 1, "theta": theta,
+               "estimator": {"method": "mc", "n_samples": 100}}
+        if problem == "lbeam":
+            cfg["problem_params"] = {"n_grid": 12}
+        assert_config_error(tmp_path, capsys, ["estimate", write_config(tmp_path, cfg)], message)
 
     @pytest.mark.parametrize("over, message", [
         ({"eta": float("nan")}, "eta must be finite, got nan"),
@@ -220,6 +231,22 @@ class TestRunCommand:
         assert grid.shape == (4, 12)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["design"]["n_elements"] == 48
+
+    def test_failed_image_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        def failing_pgm(fh, grid):
+            fh.write("P2\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fem, "write_density_pgm", failing_pgm)
+        cfg = {"problem": "beam", "seed": 2, "iterations": 2, "m": 2,
+               "estimator": {"method": "mc", "n_samples": 100}, "posthoc_samples": 100,
+               "problem_params": {"nx": 12, "ny": 4}}
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+        assert (out / "design.csv").exists()
+        assert not (out / "design.pgm").exists()
+        assert not list(out.glob("*.tmp"))
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "nope", "seed": 1})

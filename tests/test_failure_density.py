@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rbto.failure_density import (
     FailureDensityModel,
     FailureModelOverflowError,
-    initial_model,
     penalty_gradient,
     residual_and_score,
     update,
@@ -122,7 +121,7 @@ def test_penalty_positively_homogeneous(scale, kappa):
 
 
 def test_model_fixed_over_window_without_failures():
-    m = initial_model(3, alpha0=0.01, beta0=0.01, eta_f=0.2)
+    m = FailureDensityModel(0.01, np.full(3, 0.01), eta_f=0.2)
     # the optimizer skips update() entirely when no draw fails; the model
     # object is immutable, so identity is preserved across such a window
     m2 = update(m, np.empty((0, 3)))

@@ -16,7 +16,7 @@ from rbto.sgd import (
 from rbto import truss
 from rbto.fem import SolverError
 
-U1 = RandomInput((Normal(0.0, 1.0),))
+U1 = RandomInput((Normal(),))
 
 
 def quadratic_problem(target=(0.3, -0.2), noise=0.0, dim=2):

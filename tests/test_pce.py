@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rbto.pce import (
-    EVAL_CHUNK,
     PceFitError,
     PceModel,
     basis_matrix,
     fit_least_squares,
     multi_indices,
 )
+from rbto.reliability import EVAL_CHUNK
 from rbto.sampling import SampleStream
 from rbto.truss import TrussProblem, limit_state
 
@@ -136,9 +136,12 @@ def test_chunked_evaluation_matches_basis_matrix(dim):
     values = model.evaluate_u(u)
     assert values.shape == (u.shape[0],)
     assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
-    point = model.evaluate_u(u[EVAL_CHUNK + 3])
-    assert isinstance(point, float)
-    assert point == pytest.approx(reference[EVAL_CHUNK + 3], rel=1e-12, abs=1e-12)
+    # the blocks the hybrid screen evaluates give the same values
+    blocks = [model.evaluate_u(u[i:i + EVAL_CHUNK]) for i in range(0, len(u), EVAL_CHUNK)]
+    assert np.array_equal(np.concatenate(blocks), values)
+    point = model.evaluate_u(u[EVAL_CHUNK + 3 : EVAL_CHUNK + 4])
+    assert point.shape == (1,)
+    assert point[0] == pytest.approx(reference[EVAL_CHUNK + 3], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from rbto.reliability import (
+    EVAL_CHUNK,
     HybridConfig,
     LimitState,
     McConfig,
@@ -13,11 +14,10 @@ from rbto.reliability import (
     mc_estimate,
     subset_estimate,
 )
-from rbto.pce import EVAL_CHUNK
 from rbto.sampling import Normal, RandomInput, SampleStream
 from rbto.truss import TrussProblem, failure_probability, limit_state
 
-U1 = RandomInput((Normal(0.0, 1.0),))
+U1 = RandomInput((Normal(),))
 PHI_MINUS_3 = float(stats.norm.cdf(-3.0))  # 1.3499e-3
 
 
@@ -104,24 +104,19 @@ class TestSubset:
         assert exact / 2 <= est.p_hat <= exact * 2
 
     def test_chain_samples_follow_conditional_law(self):
-        # one-dimensional linear limit state: the level-1 population targets a
-        # known truncated normal; compare means over independent runs
-        reps, means, a_values = 20, [], []
-        for rep in range(reps):
-            g = shifted_limit_state(3.0)
-            log: list = []
-            subset_estimate(g, None, U1, SubsetConfig(500, 0.1), SampleStream(300 + rep), level_log=log)
-            if len(log) < 2:
+        # one-dimensional linear limit state g = 3 - xi: level j holds xi >= 3 - b_j.
+        # If the chains sample the level-1 law, the second threshold is its
+        # p0-quantile, so Phi-bar(3 - b1) / Phi-bar(3 - b0) averages p0 in log.
+        cfg = SubsetConfig(500, 0.1)
+        log_ratios = []
+        for rep in range(20):
+            est = subset_estimate(shifted_limit_state(3.0), None, U1, cfg, SampleStream(300 + rep))
+            if len(est.thresholds) < 2:
                 continue
-            b0 = log[0][0]
-            a = 3.0 - b0  # level-1 condition: xi >= a
-            xi = 3.0 - log[1][2]  # g values back to xi
-            means.append(np.mean(xi))
-            a_values.append(a)
-        a_bar = np.mean(a_values)
-        target = stats.norm.pdf(a_bar) / stats.norm.sf(a_bar)
-        se = np.std(means, ddof=1) / np.sqrt(len(means))
-        assert abs(np.mean(means) - target) < 3 * se
+            b0, b1 = est.thresholds[:2]
+            log_ratios.append(stats.norm.logsf(3.0 - b1) - stats.norm.logsf(3.0 - b0))
+        se = np.std(log_ratios, ddof=1) / np.sqrt(len(log_ratios))
+        assert abs(np.mean(log_ratios) - np.log(cfg.p0)) < 3 * se
 
     def test_stall_raises_with_partial_estimate(self):
         g = constant_limit_state(1.0)

@@ -6,8 +6,13 @@ from hypothesis import strategies as st
 from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream
 
 
+def lognormal_to_u(rv, x):
+    """Inverse of the lognormal transform: u = (ln x - mu_ln) / sigma_ln."""
+    return (np.log(x) - rv.mu_ln) / rv.sigma_ln
+
+
 def test_standard_normal_moments():
-    ri = RandomInput((Normal(0.0, 1.0),))
+    ri = RandomInput((Normal(),))
     x = ri.sample(10**6, SampleStream(123).child("moments"))
     assert abs(x.mean()) < 5e-3
     assert abs(x.std() - 1.0) < 5e-3
@@ -20,7 +25,7 @@ def test_lognormal_unit_mean_moments():
 
 
 def test_same_seed_path_bit_identical():
-    ri = RandomInput((Normal(0.0, 1.0), Lognormal(2.0, 0.5)))
+    ri = RandomInput((Normal(), Lognormal(2.0, 0.5)))
     a = ri.sample(1000, SampleStream(99).child("x", 3))
     b = ri.sample(1000, SampleStream(99).child("x", 3))
     assert np.array_equal(a, b)
@@ -42,11 +47,10 @@ def test_distinct_paths_are_uncorrelated():
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
 
-def test_standard_normal_to_u_is_identity():
-    ri = RandomInput((Normal(0.0, 1.0),))
-    x = np.array([[0.3], [-1.7], [2.5]])
-    assert np.allclose(ri.to_u(x), x)
-    assert np.allclose(ri.from_u(x), x)
+def test_standard_normal_from_u_is_identity():
+    ri = RandomInput((Normal(),))
+    u = np.array([[0.3], [-1.7], [2.5]])
+    assert np.array_equal(ri.from_u(u), u)
 
 
 def test_lognormal_moment_matching_constants():
@@ -73,34 +77,26 @@ def test_lognormal_empirical_moments_match_specified():
     assert abs(x.std() - rv.std) < 3 * se_std
 
 
-def test_to_u_rejects_nonpositive_lognormal():
-    ri = RandomInput((Lognormal(1.0, 0.1),))
-    with pytest.raises(ValueError):
-        ri.to_u(np.array([-0.5]))
-    with pytest.raises(ValueError):
-        ri.to_u(np.array([0.0]))
-
-
 def test_roundtrip_many_points():
-    ri = RandomInput((Normal(1.0, 2.0), Lognormal(3.0, 0.6), Normal(0.0, 1.0)))
+    rv = Lognormal(3.0, 0.6)
+    ri = RandomInput((Normal(), rv, Normal()))
     u = SampleStream(11).child("rt").rng().standard_normal((10**4, 3))
     x = ri.from_u(u)
-    err = np.abs(ri.to_u(x) - u)
-    assert err.max() < 1e-10
-    back = np.abs(ri.from_u(ri.to_u(x)) - x) / np.maximum(np.abs(x), 1e-30)
-    assert back.max() < 1e-12
+    assert np.array_equal(x[:, [0, 2]], u[:, [0, 2]])
+    assert np.abs(lognormal_to_u(rv, x[:, 1]) - u[:, 1]).max() < 1e-10
 
 
 @given(
-    mean=st.floats(-5, 5),
-    std=st.floats(0.01, 10),
+    mean=st.floats(0.1, 50),
+    cov=st.floats(0.01, 1.0),
     u=st.floats(-6, 6),
 )
 @settings(max_examples=50, deadline=None)
-def test_normal_roundtrip_property(mean, std, u):
-    ri = RandomInput((Normal(mean, std),))
-    x = ri.from_u(np.array([u]))
-    assert ri.to_u(x)[0] == pytest.approx(u, abs=1e-9)
+def test_normal_roundtrip_property(mean, cov, u):
+    # a standard-normal column passes through unchanged beside a lognormal one
+    ri = RandomInput((Normal(), Lognormal(mean, cov * mean)))
+    x = ri.from_u(np.array([u, 0.0]))
+    assert x[0] == u
 
 
 @given(
@@ -110,21 +106,21 @@ def test_normal_roundtrip_property(mean, std, u):
 )
 @settings(max_examples=50, deadline=None)
 def test_lognormal_roundtrip_property(mean, cov, u):
-    ri = RandomInput((Lognormal(mean, cov * mean),))
-    x = ri.from_u(np.array([u]))
+    rv = Lognormal(mean, cov * mean)
+    x = RandomInput((rv,)).from_u(np.array([u]))
     assert x[0] > 0
-    assert ri.to_u(x)[0] == pytest.approx(u, abs=1e-8)
+    assert lognormal_to_u(rv, x[0]) == pytest.approx(u, abs=1e-8)
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        Normal(0.0, 0.0)
     with pytest.raises(ValueError):
         Lognormal(-1.0, 0.1)
     with pytest.raises(ValueError):
         Lognormal(1.0, -0.1)
     with pytest.raises(ValueError):
         RandomInput(())
+    with pytest.raises(ValueError, match="sample count"):
+        RandomInput((Normal(),)).sample(0, SampleStream(1))
 
 
 def test_stream_rejects_bad_labels():

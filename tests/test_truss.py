@@ -55,13 +55,13 @@ def test_limit_state_vanished_section_always_fails():
 
 def test_reference_design_failure_probability_monte_carlo():
     g = LimitState(lambda t, xis: limit_state(PROB, *REF, xis[:, 0]))
-    input_1d = RandomInput((Normal(0.0, 1.0),))
+    input_1d = RandomInput((Normal(),))
     est = mc_estimate(g, None, input_1d, 10**7, SampleStream(21))
     assert est.p_hat == pytest.approx(1e-3, rel=0.1)
 
 
 def test_analytic_oracle_against_monte_carlo():
-    input_1d = RandomInput((Normal(0.0, 1.0),))
+    input_1d = RandomInput((Normal(),))
     for lam, delta, seed in [(0.30, 0.70, 1), (0.40, 0.80, 2), (0.25, 0.75, 3)]:
         exact = failure_probability(PROB, lam, delta)
         g = LimitState(lambda t, xis: limit_state(PROB, lam, delta, xis[:, 0]))
