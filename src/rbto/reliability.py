@@ -4,10 +4,14 @@ Failure is g(theta; xi) <= 0 throughout. Every estimator evaluates the exact
 model only through LimitState.batch, one call per block of realizations
 (never per sample), so the evaluation count is the number of rows passed.
 Three estimators are provided:
-plain Monte Carlo, multi-level subset sampling with a component-wise
-Metropolis kernel in u-space, and a hybrid scheme that screens Monte Carlo
-samples through a polynomial chaos surrogate and re-evaluates only those in
-the band |ghat| <= gamma with the exact model.
+plain Monte Carlo, which evaluates one call per draw block of DRAW_BLOCK
+rows, multi-level subset sampling with a component-wise Metropolis kernel in
+u-space, and a hybrid scheme that screens Monte Carlo samples through a
+polynomial chaos surrogate and re-evaluates only those in the band
+|ghat| <= gamma with the exact model. Both Monte Carlo estimators draw their
+batch with RandomInput.blocks_u, which fills the next draw block on a worker
+thread while the current one is evaluated; the estimates are bit-identical
+to drawing the batch at once.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from .sampling import RandomInput, SampleStream
 
 MAX_COUNT = 10**9  # upper bound of every count setting (sample sizes, iterations, mesh sizes)
 EVAL_CHUNK = 1 << 14  # rows per block when screening a batch with the fitted surrogate
+DRAW_BLOCK = 16 * EVAL_CHUNK  # rows per Monte Carlo draw block (2 MB at dim 1)
 
 
 def check_counts(cfg, *keys: str) -> None:
@@ -132,11 +137,12 @@ def mc_estimate(
     n_samples: int,
     stream: SampleStream,
 ) -> ReliabilityEstimate:
-    """Plain Monte Carlo: fraction of i.i.d. samples with g <= 0."""
-    xis = input.sample(n_samples, stream.child("mc"))
-    gs = g.batch(theta, xis)
+    """Plain Monte Carlo: fraction of i.i.d. samples with g <= 0, evaluated per draw block."""
+    n_fail = 0
+    for u in input.blocks_u(n_samples, stream.child("mc"), DRAW_BLOCK):
+        n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u)) <= 0.0))
     return ReliabilityEstimate(
-        p_hat=float(np.mean(gs <= 0.0)),
+        p_hat=n_fail / n_samples,
         method="mc",
         n_exact_evals=n_samples,
     )
@@ -256,10 +262,10 @@ def hybrid_estimate(
 
     A polynomial chaos surrogate ghat is fitted from n_fit exact evaluations;
     the large Monte Carlo batch is classified by ghat except inside the band
-    |ghat| <= gamma, where the exact model decides. The batch is screened in
-    blocks of EVAL_CHUNK rows, so no batch-sized ghat or mask is built;
-    the band rows of all blocks go to the exact model in one call, in draw
-    order.
+    |ghat| <= gamma, where the exact model decides. The batch is drawn in
+    blocks of DRAW_BLOCK rows and screened in sub-blocks of EVAL_CHUNK rows,
+    so no batch-sized sample, ghat or mask is built; the band rows of all
+    blocks go to the exact model in one call, in draw order.
     """
     nd0 = g.n_evals
     cfg.check_fit_count(input.dim)
@@ -268,14 +274,14 @@ def hybrid_estimate(
     g_fit = g.batch(theta, input.from_u(u_fit))
     model = pce.fit_least_squares(u_fit, g_fit, indices)
 
-    u_mc = input.sample_u(cfg.n_samples, stream.child("mc"))
     n_fail = 0
     band_rows = []
-    for start in range(0, cfg.n_samples, EVAL_CHUNK):
-        block = u_mc[start:start + EVAL_CHUNK]
-        ghat = model.evaluate_u(block)
-        n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
-        band_rows.append(block[np.abs(ghat) <= cfg.gamma])
+    for drawn in input.blocks_u(cfg.n_samples, stream.child("mc"), DRAW_BLOCK):
+        for start in range(0, len(drawn), EVAL_CHUNK):
+            block = drawn[start:start + EVAL_CHUNK]
+            ghat = model.evaluate_u(block)
+            n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
+            band_rows.append(block[np.abs(ghat) <= cfg.gamma])
     u_band = np.concatenate(band_rows)
     if len(u_band):
         n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u_band)) <= 0.0))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,31 @@ class RandomInput:
         if n < 1:
             raise ValueError("sample count must be >= 1")
         return stream.rng().standard_normal((n, self.dim))
+
+    def blocks_u(self, n: int, stream: SampleStream, rows: int):
+        """Yield the points of sample_u(n, stream), in order, in blocks of at most `rows` rows.
+
+        The blocks are views of two reused buffers, so a block is valid only
+        until the next one is requested. While the caller works on one block,
+        one worker thread fills the other with the next draw; PCG64 fills
+        sequentially, so the blocks equal the single draw bit for bit. Closing
+        the generator, however it ends, shuts the worker down.
+        """
+        if n < 1:
+            raise ValueError("sample count must be >= 1")
+        rng = stream.rng()
+        buffers = [np.empty((min(rows, n), self.dim)) for _ in range(2)]
+
+        def fill(k: int, start: int) -> np.ndarray:
+            return rng.standard_normal(out=buffers[k][: min(rows, n - start)])
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(fill, 0, 0)
+            for k, start in enumerate(range(0, n, rows)):
+                block = pending.result()
+                if start + rows < n:
+                    pending = pool.submit(fill, (k + 1) % 2, start + rows)
+                yield block
 
     def from_u(self, u: np.ndarray) -> np.ndarray:
         """Map u-space points to physical space (vector or n x dim matrix)."""

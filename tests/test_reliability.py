@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from rbto.reliability import (
+    DRAW_BLOCK,
     EVAL_CHUNK,
     HybridConfig,
     LimitState,
@@ -14,7 +15,7 @@ from rbto.reliability import (
     mc_estimate,
     subset_estimate,
 )
-from rbto.sampling import Normal, RandomInput, SampleStream
+from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream
 from rbto.truss import TrussProblem, failure_probability, limit_state
 
 U1 = RandomInput((Normal(),))
@@ -53,6 +54,22 @@ class TestMonteCarlo:
         g = shifted_limit_state(0.0)
         mc_estimate(g, None, U1, 500, SampleStream(2))
         assert g.n_evals == 500
+
+    def test_draw_blocks_match_one_draw(self):
+        # over several draw blocks (and a lognormal column mapped per block) the
+        # estimate is the one of evaluating the whole batch at once
+        ri = RandomInput((Normal(), Lognormal(1.0, 0.2)))
+        n = 2 * DRAW_BLOCK + 7
+        calls = []
+
+        def g_fn(theta, xis):
+            calls.append(len(xis))
+            return 1.1 - xis[:, 1] + 0.05 * xis[:, 0]
+
+        est = mc_estimate(LimitState(g_fn), None, ri, n, SampleStream(8))
+        assert calls == [DRAW_BLOCK, DRAW_BLOCK, 7]
+        assert est.p_hat == np.mean(g_fn(None, ri.sample(n, SampleStream(8).child("mc"))) <= 0.0)
+        assert est.n_exact_evals == n
 
 
 class TestSubset:
@@ -146,9 +163,9 @@ class TestHybrid:
 
     def test_multi_block_screen_is_mc_with_one_band_call(self):
         # an infinite band sends every screened row to the exact model: over
-        # several screening blocks the estimate is the plain MC one on the same
-        # stream, and the band rows arrive in one call, in draw order
-        n = 3 * EVAL_CHUNK + 5
+        # several draw and screening blocks the estimate is the plain MC one on
+        # the same stream, and the band rows arrive in one call, in draw order
+        n = DRAW_BLOCK + EVAL_CHUNK + 5
         cfg = HybridConfig(gamma=np.inf, n_samples=n, n_fit=30, pce_order=3)
         calls = []
 

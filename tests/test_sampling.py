@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,42 @@ def test_stream_words_pinned():
     batch = SampleStream(5).child("batch", 7).rng().standard_normal(3)
     assert pf.tolist() == [0.7904974087747304, 0.5204064893934327, -0.28734717707675667]
     assert batch.tolist() == [-0.7478595379644631, 0.48762322987512324, -1.7432605059822965]
+
+
+BLOCK_ROWS = 1000
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+def test_blocks_u_concatenate_to_sample_u(dim, n):
+    # chunked fills from one generator equal the single draw bit for bit
+    ri = RandomInput((Normal(),) * dim)
+    stream = SampleStream(17).child("blocks")
+    blocks = [block.copy() for block in ri.blocks_u(n, stream, BLOCK_ROWS)]
+    assert [len(b) for b in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= BLOCK_ROWS
+    assert np.array_equal(np.concatenate(blocks), ri.sample_u(n, stream))
+
+
+def test_blocks_u_rejects_empty_draw():
+    with pytest.raises(ValueError, match="sample count"):
+        list(RandomInput((Normal(),)).blocks_u(0, SampleStream(1), BLOCK_ROWS))
+
+
+def test_blocks_u_consumer_that_breaks_leaves_no_thread():
+    baseline = threading.active_count()
+    for _ in RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(2), BLOCK_ROWS):
+        assert threading.active_count() <= baseline + 1  # one worker at most
+        break
+    assert threading.active_count() == baseline
+
+
+def test_blocks_u_consumer_that_raises_leaves_no_thread():
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        for _ in RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(3), BLOCK_ROWS):
+            raise RuntimeError("consumer failed")
+    assert threading.active_count() == baseline
 
 
 def test_distinct_paths_are_uncorrelated():
