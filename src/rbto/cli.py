@@ -314,6 +314,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - start
+    write_history_csv(out_dir / "history.csv", hist)  # kept if the post-hoc check fails
 
     # post-run check with a fresh high-accuracy Monte Carlo call
     posthoc = run_estimator(
@@ -321,7 +322,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         cfg.posthoc, SampleStream(cfg.optimizer.seed, ("posthoc",)),
     )
 
-    write_history_csv(out_dir / "history.csv", hist)
     summary = {
         "problem": cfg.problem,
         "mode": cfg.mode,

@@ -3,17 +3,20 @@
 Basis functions are tensor products of normalized probabilists' Hermite
 polynomials He_n(x)/sqrt(n!), orthonormal under the standard-normal weight,
 over a total-degree multi-index set. Coefficients are fitted by least squares
-on i.i.d. input samples. One three-term recurrence, _hermite_rows, produces
-the basis values for both the fit (basis_matrix) and the evaluation
-(PceModel.evaluate_u).
+on i.i.d. input samples, with the basis values from the three-term recurrence
+_hermite_rows (basis_matrix). A fitted model is converted once to monomial
+form, so evaluation (PceModel.evaluate_u) is nested Horner's rule over the
+input dimensions and builds no Hermite values.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 
 class PceFitError(FloatingPointError):
@@ -48,9 +51,8 @@ def _hermite_rows(x: np.ndarray, out: np.ndarray, roots: list[float]) -> None:
     """Fill row k of out with psi_k(x) = He_k(x)/sqrt(k!), k = 0..len(out)-1.
 
     x holds the points of one input dimension; each row of out is contiguous.
-    roots[k] = sqrt(k). The recurrence psi_{k+1} = (x psi_k - sqrt(k) psi_{k-1})
-    / sqrt(k+1) is evaluated in this operation order wherever the basis is built,
-    so a fit and its evaluation see identical basis values.
+    roots[k] = sqrt(k), for the recurrence psi_{k+1} = (x psi_k - sqrt(k) psi_{k-1})
+    / sqrt(k+1).
     """
     out[0] = 1.0
     if len(out) > 1:
@@ -82,6 +84,48 @@ def basis_matrix(u: np.ndarray, indices: MultiIndexSet) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=16)  # one per surrogate order in use
+def _power_coefficients(order: int) -> np.ndarray:
+    """Row k holds the coefficients of psi_k = He_k/sqrt(k!) in powers 0..order of x."""
+    power = np.zeros((order + 1, order + 1))
+    for k in range(order + 1):
+        power[k, : k + 1] = hermite_e.herme2poly(np.eye(k + 1)[k]) / math.sqrt(math.factorial(k))
+    power.setflags(write=False)
+    return power
+
+
+def _horner_form(m: np.ndarray, d: int = 0):
+    """Nested Horner form of the polynomial with coefficients m[j_d, j_d+1, ...] of u_d**j_d * ...
+
+    A float if the polynomial is constant; else (e, terms), where terms[j] is
+    the coefficient of u_e**j in the same form over the dimensions after e, and
+    the highest power has a nonzero coefficient and is at least 1.
+    """
+    if m.ndim == 0:
+        return float(m)
+    powers = np.flatnonzero(m.reshape(len(m), -1).any(axis=1))
+    top = int(powers[-1]) if len(powers) else 0
+    if top == 0:
+        return _horner_form(m[0], d + 1)
+    return d, [_horner_form(m[j], d + 1) for j in range(top + 1)]
+
+
+def _horner(node, cols: np.ndarray, bufs: np.ndarray) -> np.ndarray:
+    """Evaluate an (e, terms) node of _horner_form at the points cols[:, i] into bufs[e]."""
+    e, terms = node
+    acc, x = bufs[e], cols[e]
+
+    def value(term):
+        return term if isinstance(term, float) else _horner(term, cols, bufs)
+
+    np.multiply(x, value(terms[-1]), out=acc)
+    for term in terms[-2:0:-1]:
+        acc += value(term)
+        acc *= x
+    acc += value(terms[0])
+    return acc
+
+
 @dataclass
 class PceModel:
     """Fitted surrogate in u-space: index set and coefficients."""
@@ -89,35 +133,36 @@ class PceModel:
     indices: MultiIndexSet
     coefficients: np.ndarray
     condition: float = np.nan
+    _monomial: object = field(init=False, repr=False, compare=False)  # _horner_form of the model
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.indices):
             raise ValueError("coefficient count must match index-set cardinality")
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("coefficients must be finite")
+        # coefficients of the products of Hermite orders, then of powers: one
+        # contraction with the power coefficients per dimension, each taking the
+        # leading Hermite axis and appending its power axis
+        power = _power_coefficients(self.indices.order)
+        monomial = np.zeros((self.indices.order + 1,) * self.indices.dim)
+        monomial[tuple(np.array(self.indices.indices).T)] = self.coefficients
+        for _ in range(self.indices.dim):
+            monomial = np.tensordot(monomial, power, axes=(0, 0))
+        self._monomial = _horner_form(monomial)
 
     def evaluate_u(self, u: np.ndarray) -> np.ndarray:
         """Evaluate at the rows of an (n, dim) matrix of u-space points; shape (n,).
 
-        The (n, n_terms) basis matrix is never built: each term
-        coef * prod_d psi_{k_d}(u_d) is formed in one preallocated buffer and
-        added to the sum in index-set order. The hybrid screen passes blocks of
-        reliability.EVAL_CHUNK rows, so every intermediate stays in cache.
+        Nested Horner's rule on the monomial form: one multiply and one add
+        per monomial coefficient, on whole columns. The hybrid screen passes
+        blocks of reliability.EVAL_CHUNK rows, so every intermediate stays in
+        cache.
         """
         points = _points(u, self.indices)
-        n, dim = points.shape
-        roots = [math.sqrt(k) for k in range(self.indices.order + 1)]
-        tables = np.empty((dim, self.indices.order + 1, n))  # psi_k of dimension d in tables[d, k]
-        for d in range(dim):
-            _hermite_rows(points[:, d], tables[d], roots)
-        prod = np.empty(n)
-        vals = np.zeros(n)
-        for coef, index in zip(self.coefficients, self.indices.indices):
-            term = np.multiply(tables[0, index[0]], coef, out=prod)
-            for d in range(1, dim):
-                term *= tables[d, index[d]]
-            vals += term
-        return vals
+        if isinstance(self._monomial, float):
+            return np.full(len(points), self._monomial)
+        cols = np.ascontiguousarray(points.T)
+        return _horner(self._monomial, cols, np.empty_like(cols))
 
 
 def fit_least_squares(

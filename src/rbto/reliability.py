@@ -9,12 +9,15 @@ rows, multi-level subset sampling with a component-wise Metropolis kernel in
 u-space, and a hybrid scheme that screens Monte Carlo samples through a
 polynomial chaos surrogate and re-evaluates only those in the band
 |ghat| <= gamma with the exact model. Both Monte Carlo estimators draw their
-batch with RandomInput.blocks_u, which fills the next draw block on a worker
+batch with RandomInput.blocks_u, which fills the next draw blocks on a worker
 thread while the current one is evaluated; the estimates are bit-identical
-to drawing the batch at once.
+to drawing the batch at once. start_draw starts that batch before the
+estimate is called (the optimizer starts each refresh's batch right after
+the refresh before it) and estimate(..., draw) reads it.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -130,17 +133,32 @@ class SubsetStallError(RuntimeError):
         self.estimate = estimate
 
 
+def _batch_blocks(input: RandomInput, n_samples: int, stream: SampleStream, draw):
+    """The blocks of an estimate's Monte Carlo batch: `draw` if one was started ahead, else a new draw."""
+    mc = stream.child("mc")
+    if draw is None:
+        return input.blocks_u(n_samples, mc, DRAW_BLOCK)
+    drawn, n_drawn, blocks = draw
+    if (drawn, n_drawn) != (mc, n_samples):
+        blocks.close()
+        raise ValueError(f"a draw of {n_drawn} points on stream {drawn.path} was handed to an "
+                         f"estimate of {n_samples} points on stream {mc.path}")
+    return blocks
+
+
 def mc_estimate(
     g: LimitState,
     theta,
     input: RandomInput,
     n_samples: int,
     stream: SampleStream,
+    draw=None,
 ) -> ReliabilityEstimate:
     """Plain Monte Carlo: fraction of i.i.d. samples with g <= 0, evaluated per draw block."""
     n_fail = 0
-    for u in input.blocks_u(n_samples, stream.child("mc"), DRAW_BLOCK):
-        n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u)) <= 0.0))
+    with contextlib.closing(_batch_blocks(input, n_samples, stream, draw)) as blocks:
+        for u in blocks:
+            n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u)) <= 0.0))
     return ReliabilityEstimate(
         p_hat=n_fail / n_samples,
         method="mc",
@@ -257,6 +275,7 @@ def hybrid_estimate(
     input: RandomInput,
     cfg: HybridConfig,
     stream: SampleStream,
+    draw=None,
 ) -> ReliabilityEstimate:
     """Surrogate-screened Monte Carlo estimate of P(g <= 0).
 
@@ -268,20 +287,21 @@ def hybrid_estimate(
     blocks go to the exact model in one call, in draw order.
     """
     nd0 = g.n_evals
-    cfg.check_fit_count(input.dim)
-    indices = pce.multi_indices(input.dim, cfg.pce_order)
-    u_fit = input.sample_u(cfg.n_fit, stream.child("fit"))
-    g_fit = g.batch(theta, input.from_u(u_fit))
-    model = pce.fit_least_squares(u_fit, g_fit, indices)
-
     n_fail = 0
     band_rows = []
-    for drawn in input.blocks_u(cfg.n_samples, stream.child("mc"), DRAW_BLOCK):
-        for start in range(0, len(drawn), EVAL_CHUNK):
-            block = drawn[start:start + EVAL_CHUNK]
-            ghat = model.evaluate_u(block)
-            n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
-            band_rows.append(block[np.abs(ghat) <= cfg.gamma])
+    # the batch is drawn (or was started ahead) while the surrogate is fitted
+    with contextlib.closing(_batch_blocks(input, cfg.n_samples, stream, draw)) as blocks:
+        cfg.check_fit_count(input.dim)
+        indices = pce.multi_indices(input.dim, cfg.pce_order)
+        u_fit = input.sample_u(cfg.n_fit, stream.child("fit"))
+        g_fit = g.batch(theta, input.from_u(u_fit))
+        model = pce.fit_least_squares(u_fit, g_fit, indices)
+        for drawn in blocks:
+            for start in range(0, len(drawn), EVAL_CHUNK):
+                block = drawn[start:start + EVAL_CHUNK]
+                ghat = model.evaluate_u(block)
+                n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
+                band_rows.append(block[np.abs(ghat) <= cfg.gamma])
     u_band = np.concatenate(band_rows)
     if len(u_band):
         n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u_band)) <= 0.0))
@@ -297,18 +317,40 @@ def hybrid_estimate(
 EstimatorConfig = McConfig | SubsetConfig | HybridConfig
 
 
+def start_draw(input: RandomInput, cfg: EstimatorConfig, stream: SampleStream):
+    """Start the Monte Carlo batch of estimate(..., cfg, stream) now, for that call's `draw`.
+
+    Returns None for the subset estimator, whose later samples depend on its
+    own evaluations; otherwise the (stream, size, blocks) of a running
+    RandomInput.blocks_u draw, which the worker fills until the estimate reads it.
+    """
+    if isinstance(cfg, SubsetConfig):
+        return None
+    mc = stream.child("mc")
+    return mc, cfg.n_samples, input.blocks_u(cfg.n_samples, mc, DRAW_BLOCK)
+
+
 def estimate(
     g: LimitState,
     theta,
     input: RandomInput,
     cfg: EstimatorConfig,
     stream: SampleStream,
+    draw=None,
 ) -> ReliabilityEstimate:
-    """Dispatch on the estimator configuration type."""
+    """Dispatch on the estimator configuration type.
+
+    draw, if given, is start_draw(input, cfg, stream) called ahead of time; a
+    draw of another stream or size raises ValueError. The estimate closes the
+    draw however it ends.
+    """
     if isinstance(cfg, McConfig):
-        return mc_estimate(g, theta, input, cfg.n_samples, stream)
+        return mc_estimate(g, theta, input, cfg.n_samples, stream, draw)
     if isinstance(cfg, SubsetConfig):
+        if draw is not None:
+            draw[2].close()
+            raise ValueError("the subset estimator takes no Monte Carlo draw")
         return subset_estimate(g, theta, input, cfg, stream)
     if isinstance(cfg, HybridConfig):
-        return hybrid_estimate(g, theta, input, cfg, stream)
+        return hybrid_estimate(g, theta, input, cfg, stream, draw)
     raise TypeError(f"unknown estimator config {type(cfg).__name__}")

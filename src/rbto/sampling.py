@@ -10,12 +10,15 @@ deviation and are moment-matched:
 """
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+DRAW_AHEAD = 2  # blocks a draw worker fills ahead of its caller; a draw holds DRAW_AHEAD + 1 blocks
 
 
 @dataclass(frozen=True)
@@ -124,29 +127,49 @@ class RandomInput:
         return stream.rng().standard_normal((n, self.dim))
 
     def blocks_u(self, n: int, stream: SampleStream, rows: int):
-        """Yield the points of sample_u(n, stream), in order, in blocks of at most `rows` rows.
+        """Start drawing sample_u(n, stream); return a generator of its points in blocks.
 
-        The blocks are views of two reused buffers, so a block is valid only
-        until the next one is requested. While the caller works on one block,
-        one worker thread fills the other with the next draw; PCG64 fills
-        sequentially, so the blocks equal the single draw bit for bit. Closing
-        the generator, however it ends, shuts the worker down.
+        The blocks come in order, at most `rows` rows each, and equal the single
+        draw bit for bit (PCG64 fills sequentially). stream.rng() is called here,
+        on the caller's thread, and one worker thread starts filling at once, up
+        to DRAW_AHEAD blocks ahead of the caller, so a draw can be started well
+        before it is read. The first DRAW_AHEAD blocks are filled by one call:
+        the worker needs the GIL once for them, and a caller that keeps taking
+        and releasing the GIL can hold it off for many milliseconds. The blocks
+        are views of a ring of DRAW_AHEAD + 1 slots, so a block is valid only
+        until the next one is requested. Closing the generator, however it ends
+        and even before its first block, shuts the worker down.
         """
         if n < 1:
             raise ValueError("sample count must be >= 1")
-        rng = stream.rng()
-        buffers = [np.empty((min(rows, n), self.dim)) for _ in range(2)]
 
-        def fill(k: int, start: int) -> np.ndarray:
-            return rng.standard_normal(out=buffers[k][: min(rows, n - start)])
+        def blocks():
+            rng = stream.rng()
+            n_blocks = -(-n // rows)
+            slots = min(DRAW_AHEAD + 1, n_blocks)
+            ring = np.empty((slots * min(rows, n), self.dim))  # block k lives in slot k % slots
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(fill, 0, 0)
-            for k, start in enumerate(range(0, n, rows)):
-                block = pending.result()
-                if start + rows < n:
-                    pending = pool.submit(fill, (k + 1) % 2, start + rows)
-                yield block
+            def fill(first: int, count: int) -> None:  # blocks first .. first + count - 1, in adjacent slots
+                start = (first % slots) * rows
+                rng.standard_normal(out=ring[start:start + min(count * rows, n - first * rows)])
+
+            pool = ThreadPoolExecutor(max_workers=1)
+            try:
+                ahead = min(DRAW_AHEAD, n_blocks)
+                pending = collections.deque([pool.submit(fill, 0, ahead)] * ahead)
+                yield None  # started: the worker is filling
+                for k in range(n_blocks):
+                    pending.popleft().result()
+                    if k + DRAW_AHEAD < n_blocks:
+                        pending.append(pool.submit(fill, k + DRAW_AHEAD, 1))
+                    start = (k % slots) * rows
+                    yield ring[start:start + min(rows, n - k * rows)]
+            finally:
+                pool.shutdown(cancel_futures=True)
+
+        draw = blocks()
+        next(draw)
+        return draw
 
     def from_u(self, u: np.ndarray) -> np.ndarray:
         """Map u-space points to physical space (vector or n x dim matrix)."""

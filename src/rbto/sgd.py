@@ -17,7 +17,10 @@ refresh and makes the design cycle around the constraint boundary; the
 average damps that cycle and keeps the -beta direction and the hinge at p_a.
 The penalty is inactive until the first refresh, which gives the
 failure-density parameters a short burn-in on early failures before they
-start steering the design.
+start steering the design. Right after each refresh the Monte Carlo batch of
+the next one starts drawing on a worker thread (reliability.start_draw), so
+it is ready when that refresh comes; no draw starts past the last refresh,
+and a pending one is closed however the run ends.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .reliability import (
     SubsetStallError,
     check_counts,
     estimate,
+    start_draw,
 )
 from .sampling import RandomInput, SampleStream
 
@@ -180,50 +184,58 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
         hist.n_exact_g_evals = problem.limit_state.n_evals - evals0
         return hist
 
-    for k in range(1, iters + 1):
-        try:
-            if cfg.kappa_f > 0.0 and k % cfg.m == 0:
-                est = estimate(
-                    problem.limit_state, theta, problem.random_input,
-                    cfg.estimator, root.child("pf", k),
-                )
-                p_iters.append(k)
-                p_vals.append(est.p_hat)
-                ratio = float(np.log(max(est.p_hat, p_floor) / cfg.p_a))
-                log_ratio = ratio if log_ratio is None else 0.5 * (log_ratio + ratio)
+    ahead = None  # the next refresh's Monte Carlo draw, started right after a refresh
+    try:
+        for k in range(1, iters + 1):
+            try:
+                if cfg.kappa_f > 0.0 and k % cfg.m == 0:
+                    est = estimate(
+                        problem.limit_state, theta, problem.random_input,
+                        cfg.estimator, root.child("pf", k), ahead,
+                    )
+                    ahead = None
+                    if k + cfg.m <= iters:  # fill the next refresh's batch during the iterations before it
+                        ahead = start_draw(problem.random_input, cfg.estimator, root.child("pf", k + cfg.m))
+                    p_iters.append(k)
+                    p_vals.append(est.p_hat)
+                    ratio = float(np.log(max(est.p_hat, p_floor) / cfg.p_a))
+                    log_ratio = ratio if log_ratio is None else 0.5 * (log_ratio + ratio)
 
-            batch = problem.random_input.sample(cfg.n, root.child("batch", k))
-            gs = problem.limit_state.batch(theta, batch)
-            if np.any(gs <= 0.0):
-                model = fd.update(model, [theta])
-                hist.failure_update[k - 1] = True
+                batch = problem.random_input.sample(cfg.n, root.child("batch", k))
+                gs = problem.limit_state.batch(theta, batch)
+                if np.any(gs <= 0.0):
+                    model = fd.update(model, [theta])
+                    hist.failure_update[k - 1] = True
 
-            if cfg.kappa_f > 0.0 and log_ratio is not None:
-                p_smooth = min(cfg.p_a * float(np.exp(log_ratio)), 1.0)
-                penalty = fd.penalty_gradient(model, p_smooth, cfg.p_a, cfg.kappa_f)
-            else:
-                penalty = np.zeros(problem.dim)
+                if cfg.kappa_f > 0.0 and log_ratio is not None:
+                    p_smooth = min(cfg.p_a * float(np.exp(log_ratio)), 1.0)
+                    penalty = fd.penalty_gradient(model, p_smooth, cfg.p_a, cfg.kappa_f)
+                else:
+                    penalty = np.zeros(problem.dim)
 
-            h, obj = stochastic_gradient(problem, theta, batch, penalty)
-            hist.n_objective_evals += cfg.n
-            hist.objective[k - 1] = obj
-            if problem.objective_expected is not None:
-                hist.objective_expected[k - 1] = problem.objective_expected(theta)
-            hist.alpha[k - 1] = model.alpha
-            hist.beta_norm[k - 1] = float(np.linalg.norm(model.beta))
+                h, obj = stochastic_gradient(problem, theta, batch, penalty)
+                hist.n_objective_evals += cfg.n
+                hist.objective[k - 1] = obj
+                if problem.objective_expected is not None:
+                    hist.objective_expected[k - 1] = problem.objective_expected(theta)
+                hist.alpha[k - 1] = model.alpha
+                hist.beta_norm[k - 1] = float(np.linalg.norm(model.beta))
 
-            if not np.all(np.isfinite(h)):
-                bad = int(np.nonzero(~np.isfinite(h))[0][0])
-                raise FloatingPointError(f"non-finite gradient component {bad} at iteration {k}")
-            theta = project(theta - cfg.eta * h, problem.lower, problem.upper)
-            if not np.all(np.isfinite(theta)):
-                bad = int(np.nonzero(~np.isfinite(theta))[0][0])
-                raise FloatingPointError(f"non-finite design component {bad} at iteration {k}")
-        # FloatingPointError covers the density-model overflow, a failed
-        # surrogate fit and a singular FE system, besides the checks above
-        except (FloatingPointError, SubsetStallError) as err:
-            for arr in (hist.objective, hist.alpha, hist.beta_norm):
-                arr[k - 1 :] = np.nan
-            raise OptimizerError(str(err), k, finalize()) from err
+                if not np.all(np.isfinite(h)):
+                    bad = int(np.nonzero(~np.isfinite(h))[0][0])
+                    raise FloatingPointError(f"non-finite gradient component {bad} at iteration {k}")
+                theta = project(theta - cfg.eta * h, problem.lower, problem.upper)
+                if not np.all(np.isfinite(theta)):
+                    bad = int(np.nonzero(~np.isfinite(theta))[0][0])
+                    raise FloatingPointError(f"non-finite design component {bad} at iteration {k}")
+            # FloatingPointError covers the density-model overflow, a failed
+            # surrogate fit and a singular FE system, besides the checks above
+            except (FloatingPointError, SubsetStallError) as err:
+                for arr in (hist.objective, hist.alpha, hist.beta_norm):
+                    arr[k - 1 :] = np.nan
+                raise OptimizerError(str(err), k, finalize()) from err
+    finally:
+        if ahead is not None:
+            ahead[2].close()
 
     return theta, finalize()

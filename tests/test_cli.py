@@ -271,6 +271,20 @@ class TestRunCommand:
         assert "nan" not in objective[:99]  # the first refresh, at iteration 100, fails
         assert set(objective[99:]) == {"nan"}
 
+    def test_posthoc_failure_exits_3_with_full_history(self, tmp_path, capsys, monkeypatch):
+        # a singular factorization of the final design in the post-hoc check
+        def failing_posthoc(*args):
+            raise fem.SolverError("stiffness matrix is not positive definite")
+
+        monkeypatch.setattr("rbto.cli.run_estimator", failing_posthoc)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, truss_smoke_config()), "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        rows = (out / "history.csv").read_text().splitlines()
+        assert len(rows) == 1 + truss_smoke_config()["iterations"]
+        assert "nan" not in "".join(rows)
+        assert not (out / "summary.json").exists()
+
 
 class TestEstimateCommand:
     def test_truss_reference_mc(self, capsys):

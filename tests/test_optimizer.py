@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbto.reliability import LimitState, McConfig
+from rbto import sgd
+from rbto.reliability import HybridConfig, LimitState, McConfig
 from rbto.sampling import Normal, RandomInput, SampleStream
 from rbto.sgd import (
     OptimizationProblem,
@@ -258,7 +261,9 @@ class TestSmoothedPenaltySignal:
 
         script = iter(p_hats)
 
-        def fake_estimate(g, theta, random_input, cfg, stream):
+        def fake_estimate(g, theta, random_input, cfg, stream, draw=None):
+            if draw is not None:
+                draw[2].close()  # the Monte Carlo batch started ahead goes unread
             return ReliabilityEstimate(p_hat=next(script), method="mc")
 
         monkeypatch.setattr(sgd, "estimate", fake_estimate)
@@ -320,3 +325,29 @@ class TestSmoothedPenaltySignal:
             expected = project(expected - cfg.eta * (expected - target), -1.0, 1.0)
         assert np.array_equal(theta, expected)
         assert hist.p_f_iterations.size == 0
+
+
+def test_draw_ahead_changes_no_result(monkeypatch):
+    # the truss-hybrid settings over three refreshes: the batches started ahead
+    # give the run that draws each refresh batch when the refresh comes
+    cfg = OptimizerConfig(
+        eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3, iterations=300, seed=1,
+        estimator=HybridConfig(gamma=2.5, n_samples=10**6, n_fit=100, pce_order=4),
+    )
+    shipped = run(truss.make_problem(), cfg)
+
+    shipped_estimate, dropped = sgd.estimate, []
+
+    def drop_draw(g, theta, random_input, est_cfg, stream, draw=None):
+        if draw is not None:
+            dropped.append(draw)
+            draw[2].close()
+        return shipped_estimate(g, theta, random_input, est_cfg, stream)
+
+    monkeypatch.setattr(sgd, "estimate", drop_draw)
+    undrawn = run(truss.make_problem(), cfg)
+    assert len(dropped) == 2  # the refreshes at 200 and 300
+    assert np.array_equal(shipped[0], undrawn[0])
+    for f in dataclasses.fields(sgd.RunHistory):
+        a, b = getattr(shipped[1], f.name), getattr(undrawn[1], f.name)
+        assert np.array_equal(a, b), f.name

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,10 +15,13 @@ from rbto.reliability import (
     estimate,
     hybrid_estimate,
     mc_estimate,
+    start_draw,
     subset_estimate,
 )
+from rbto.pce import PceFitError
 from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream
-from rbto.truss import TrussProblem, failure_probability, limit_state
+from rbto.sgd import OptimizerConfig, OptimizerError, run
+from rbto.truss import TrussProblem, failure_probability, limit_state, make_problem
 
 U1 = RandomInput((Normal(),))
 PHI_MINUS_3 = float(stats.norm.cdf(-3.0))  # 1.3499e-3
@@ -250,3 +255,116 @@ class TestDispatchAndInvariants:
         b = subset_estimate(shifted_limit_state(3.0), None, U1, cfg, SampleStream(19))
         assert a.p_hat == b.p_hat
         assert a.thresholds == b.thresholds
+
+
+class TestDrawAhead:
+    """A refresh's Monte Carlo batch started early with start_draw, as the optimizer does."""
+
+    CONFIGS = [
+        McConfig(n_samples=2 * DRAW_BLOCK + 5),
+        HybridConfig(gamma=1.0, n_samples=2 * DRAW_BLOCK + 5, n_fit=30, pce_order=3),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_started_draw_gives_the_same_estimate(self, cfg):
+        baseline = threading.active_count()
+        stream = SampleStream(20).child("pf", 100)
+        draw = start_draw(U1, cfg, stream)
+        ahead = estimate(shifted_limit_state(2.0), None, U1, cfg, stream, draw)
+        assert ahead == estimate(shifted_limit_state(2.0), None, U1, cfg, stream)
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_failed_fit_closes_the_draw(self, ahead):
+        baseline = threading.active_count()
+        cfg = HybridConfig(gamma=1.0, n_samples=2 * DRAW_BLOCK + 5, n_fit=30, pce_order=3)
+        stream = SampleStream(22)
+        draw = start_draw(U1, cfg, stream) if ahead else None
+        with pytest.raises(PceFitError):
+            estimate(constant_limit_state(np.nan), None, U1, cfg, stream, draw)
+        assert threading.active_count() == baseline
+
+    def test_subset_starts_no_draw(self):
+        assert start_draw(U1, SubsetConfig(), SampleStream(1)) is None
+
+    @pytest.mark.parametrize("cfg", [
+        McConfig(n_samples=1000),
+        HybridConfig(gamma=1.0, n_samples=1000, n_fit=30, pce_order=3),
+        SubsetConfig(n_samples=500),
+    ])
+    @pytest.mark.parametrize("k, n", [(200, 1000), (100, 999)])  # wrong stream, wrong size
+    def test_mismatched_draw_raises_value_error(self, cfg, k, n):
+        baseline = threading.active_count()
+        draw = start_draw(U1, McConfig(n), SampleStream(21).child("pf", k))
+        with pytest.raises(ValueError, match="draw"):
+            estimate(shifted_limit_state(2.0), None, U1, cfg, SampleStream(21).child("pf", 100), draw)
+        assert threading.active_count() == baseline
+
+
+class TestDrawAheadThreads:
+    """sgd.run leaves no draw worker behind, however the run ends."""
+
+    @staticmethod
+    def config():
+        # refreshes at 100, 200 and 300; draws started ahead at 100 and 200
+        return OptimizerConfig(
+            eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3, iterations=300, seed=1,
+            estimator=HybridConfig(n_samples=2 * DRAW_BLOCK + 5, n_fit=100, pce_order=4),
+        )
+
+    @staticmethod
+    def counting_objective(problem, at, fail=False):
+        """Record the thread count when the objective is called for the at-th time."""
+        seen, objective = {}, problem.objective_batch
+
+        def counted(theta, xis):
+            seen["calls"] = seen.get("calls", 0) + 1
+            value, grad = objective(theta, xis)
+            if seen["calls"] in at:
+                seen[seen["calls"]] = threading.active_count()
+                if fail:
+                    grad = np.full_like(grad, np.nan)
+            return value, grad
+
+        problem.objective_batch = counted
+        return seen
+
+    def test_normal_run(self):
+        baseline = threading.active_count()
+        problem = make_problem()
+        seen = self.counting_objective(problem, (150, 300))
+        run(problem, self.config())
+        assert seen[150] == baseline + 1  # the draw of the refresh at 200 is pending
+        assert seen[300] == baseline  # none is started after the last refresh
+        assert threading.active_count() == baseline
+
+    def test_optimizer_error_between_refreshes(self):
+        baseline = threading.active_count()
+        problem = make_problem()
+        seen = self.counting_objective(problem, (150,), fail=True)
+        with pytest.raises(OptimizerError, match="non-finite gradient") as err:
+            run(problem, self.config())
+        assert err.value.iteration == 150
+        assert seen[150] == baseline + 1
+        assert threading.active_count() == baseline
+
+    def test_fit_error_inside_a_refresh(self):
+        baseline = threading.active_count()
+        problem = make_problem()
+        exact, seen = problem.limit_state.batch_fn, {"fits": 0}
+
+        def g(theta, xis):
+            if len(xis) == 100:  # the surrogate fit of a refresh
+                seen["fits"] += 1
+                if seen["fits"] == 2:
+                    seen["threads"] = threading.active_count()
+                    return np.full(len(xis), np.nan)
+            return exact(theta, xis)
+
+        problem.limit_state = LimitState(g)
+        with pytest.raises(OptimizerError, match="not finite") as err:
+            run(problem, self.config())
+        assert isinstance(err.value.__cause__, PceFitError)
+        assert err.value.iteration == 200
+        assert seen["threads"] == baseline + 1  # the draw started ahead for this refresh
+        assert threading.active_count() == baseline

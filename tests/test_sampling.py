@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -57,9 +58,27 @@ def test_blocks_u_concatenate_to_sample_u(dim, n):
     assert np.array_equal(np.concatenate(blocks), ri.sample_u(n, stream))
 
 
+def test_blocks_u_read_after_a_delay_equals_sample_u():
+    # the worker fills ahead while the caller is busy; the blocks are unchanged
+    ri = RandomInput((Normal(),) * 2)
+    n = 5 * BLOCK_ROWS + 7
+    draw = ri.blocks_u(n, SampleStream(18).child("late"), BLOCK_ROWS)
+    time.sleep(0.05)
+    blocks = [block.copy() for block in draw]
+    assert np.array_equal(np.concatenate(blocks), ri.sample_u(n, SampleStream(18).child("late")))
+
+
+def test_blocks_u_closed_before_reading_leaves_no_thread():
+    baseline = threading.active_count()
+    draw = RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(4), BLOCK_ROWS)
+    assert threading.active_count() == baseline + 1  # filling already
+    draw.close()
+    assert threading.active_count() == baseline
+
+
 def test_blocks_u_rejects_empty_draw():
     with pytest.raises(ValueError, match="sample count"):
-        list(RandomInput((Normal(),)).blocks_u(0, SampleStream(1), BLOCK_ROWS))
+        RandomInput((Normal(),)).blocks_u(0, SampleStream(1), BLOCK_ROWS)
 
 
 def test_blocks_u_consumer_that_breaks_leaves_no_thread():
