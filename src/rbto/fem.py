@@ -246,11 +246,11 @@ class BandedOperator:
         self.entry_ke = np.tile(ke.ravel(), mesh.n_elems)[upper]
         self.f_free = mesh.load_vector[self.free_dofs]
 
-    def solve(self, scale: np.ndarray, load_mult: float) -> tuple[np.ndarray, float]:
-        """Displacements (full dof vector) and compliance for K(scale) u = P f."""
+    def solve(self, scale: np.ndarray) -> tuple[np.ndarray, float]:
+        """Displacements (full dof vector) and compliance for K(scale) u = f."""
         # the one finiteness check: the band below is finite when scale is
-        if not (np.isfinite(scale).all() and np.isfinite(load_mult)):
-            raise SolverError("non-finite element stiffness scale or load")
+        if not np.isfinite(scale).all():
+            raise SolverError("non-finite element stiffness scale")
         vals = scale[self.entry_elem] * self.entry_ke
         ab = np.bincount(
             self.band_pos, weights=vals, minlength=(self.bandwidth + 1) * self.n_free
@@ -263,16 +263,16 @@ class BandedOperator:
                 f"stiffness matrix not positive definite "
                 f"(smallest diagonal {pivots.min():.3e}): {err}"
             ) from err
-        u_free = cho_solve_banded((chol, False), load_mult * self.f_free, check_finite=False)
+        u_free = cho_solve_banded((chol, False), self.f_free, check_finite=False)
         u = np.zeros(self.mesh.n_dofs)
         u[self.free_dofs] = u_free
-        compliance = float(load_mult * self.f_free @ u_free)
+        compliance = float(self.f_free @ u_free)
         return u, compliance
 
 
 def solve_compliance(op: BandedOperator, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve K(rho) u = f at unit load and modulus rho^PENAL; return (u, compliance = f^T u)."""
-    return op.solve(rho**PENAL, 1.0)
+    return op.solve(rho**PENAL)
 
 
 def compliance_sensitivity(op: BandedOperator, rho: np.ndarray, u: np.ndarray) -> np.ndarray:

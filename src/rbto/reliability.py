@@ -4,20 +4,19 @@ Failure is g(theta; xi) <= 0 throughout. Every estimator evaluates the exact
 model only through LimitState.batch, one call per block of realizations
 (never per sample), so the evaluation count is the number of rows passed.
 Three estimators are provided:
-plain Monte Carlo, which evaluates one call per draw block of DRAW_BLOCK
-rows, multi-level subset sampling with a component-wise Metropolis kernel in
+plain Monte Carlo, which evaluates one call per DRAW_BLOCK rows of its draw,
+multi-level subset sampling with a component-wise Metropolis kernel in
 u-space, and a hybrid scheme that screens Monte Carlo samples through a
 polynomial chaos surrogate and re-evaluates only those in the band
 |ghat| <= gamma with the exact model. Both Monte Carlo estimators draw their
-batch with RandomInput.blocks_u, which fills the next draw blocks on a worker
-thread while the current one is evaluated; the estimates are bit-identical
-to drawing the batch at once. start_draw starts that batch before the
-estimate is called (the optimizer starts each refresh's batch right after
-the refresh before it) and estimate(..., draw) reads it.
+batch with RandomInput.blocks_u, which fills it on a worker thread in ranges
+of DRAW_BLOCK rows while the filled ones are evaluated; the estimates are
+bit-identical to drawing the batch at once. start_draw starts that batch
+before the estimate is called (the optimizer starts each refresh's batch
+right after the refresh before it) and estimate(..., draw) reads it.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .sampling import RandomInput, SampleStream
 
 MAX_COUNT = 10**9  # upper bound of every count setting (sample sizes, iterations, mesh sizes)
 EVAL_CHUNK = 1 << 14  # rows per block when screening a batch with the fitted surrogate
-DRAW_BLOCK = 16 * EVAL_CHUNK  # rows per Monte Carlo draw block (2 MB at dim 1)
+DRAW_BLOCK = 16 * EVAL_CHUNK  # rows per fill of a Monte Carlo draw (2 MB at dim 1)
 
 
 def check_counts(cfg, *keys: str) -> None:
@@ -140,7 +139,6 @@ def _batch_blocks(input: RandomInput, n_samples: int, stream: SampleStream, draw
         return input.blocks_u(n_samples, mc, DRAW_BLOCK)
     drawn, n_drawn, blocks = draw
     if (drawn, n_drawn) != (mc, n_samples):
-        blocks.close()
         raise ValueError(f"a draw of {n_drawn} points on stream {drawn.path} was handed to an "
                          f"estimate of {n_samples} points on stream {mc.path}")
     return blocks
@@ -154,10 +152,11 @@ def mc_estimate(
     stream: SampleStream,
     draw=None,
 ) -> ReliabilityEstimate:
-    """Plain Monte Carlo: fraction of i.i.d. samples with g <= 0, evaluated per draw block."""
+    """Plain Monte Carlo: fraction of i.i.d. samples with g <= 0, evaluated per DRAW_BLOCK rows."""
     n_fail = 0
-    with contextlib.closing(_batch_blocks(input, n_samples, stream, draw)) as blocks:
-        for u in blocks:
+    for drawn in _batch_blocks(input, n_samples, stream, draw):
+        for start in range(0, len(drawn), DRAW_BLOCK):  # bounds the limit state's temporaries
+            u = drawn[start:start + DRAW_BLOCK]
             n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u)) <= 0.0))
     return ReliabilityEstimate(
         p_hat=n_fail / n_samples,
@@ -215,16 +214,6 @@ def subset_estimate(
     thresholds = [b_j]
     levels = 0
 
-    if b_j <= 0.0:
-        # first threshold already nonpositive: plain MC on the same samples
-        return ReliabilityEstimate(
-            p_hat=float(np.mean(gs <= 0.0)),
-            method="subset",
-            levels=0,
-            n_exact_evals=g.n_evals - nd0,
-            thresholds=tuple(thresholds),
-        )
-
     while b_j > 0.0:
         if levels >= cfg.max_levels:
             n_fail = int(np.sum(gs <= 0.0))
@@ -281,27 +270,27 @@ def hybrid_estimate(
 
     A polynomial chaos surrogate ghat is fitted from n_fit exact evaluations;
     the large Monte Carlo batch is classified by ghat except inside the band
-    |ghat| <= gamma, where the exact model decides. The batch is drawn in
-    blocks of DRAW_BLOCK rows and screened in sub-blocks of EVAL_CHUNK rows,
-    so no batch-sized sample, ghat or mask is built; the band rows of all
-    blocks go to the exact model in one call, in draw order.
+    |ghat| <= gamma, where the exact model decides. The batch is screened in
+    blocks of EVAL_CHUNK rows as its ranges are filled, so no batch-sized
+    ghat or mask is built; the band rows of all blocks go to the exact model
+    in one call, in draw order.
     """
     nd0 = g.n_evals
     n_fail = 0
     band_rows = []
     # the batch is drawn (or was started ahead) while the surrogate is fitted
-    with contextlib.closing(_batch_blocks(input, cfg.n_samples, stream, draw)) as blocks:
-        cfg.check_fit_count(input.dim)
-        indices = pce.multi_indices(input.dim, cfg.pce_order)
-        u_fit = input.sample_u(cfg.n_fit, stream.child("fit"))
-        g_fit = g.batch(theta, input.from_u(u_fit))
-        model = pce.fit_least_squares(u_fit, g_fit, indices)
-        for drawn in blocks:
-            for start in range(0, len(drawn), EVAL_CHUNK):
-                block = drawn[start:start + EVAL_CHUNK]
-                ghat = model.evaluate_u(block)
-                n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
-                band_rows.append(block[np.abs(ghat) <= cfg.gamma])
+    blocks = _batch_blocks(input, cfg.n_samples, stream, draw)
+    cfg.check_fit_count(input.dim)
+    indices = pce.multi_indices(input.dim, cfg.pce_order)
+    u_fit = input.sample_u(cfg.n_fit, stream.child("fit"))
+    g_fit = g.batch(theta, input.from_u(u_fit))
+    model = pce.fit_least_squares(u_fit, g_fit, indices)
+    for drawn in blocks:
+        for start in range(0, len(drawn), EVAL_CHUNK):
+            block = drawn[start:start + EVAL_CHUNK]
+            ghat = model.evaluate_u(block)
+            n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
+            band_rows.append(block[np.abs(ghat) <= cfg.gamma])
     u_band = np.concatenate(band_rows)
     if len(u_band):
         n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u_band)) <= 0.0))
@@ -322,7 +311,7 @@ def start_draw(input: RandomInput, cfg: EstimatorConfig, stream: SampleStream):
 
     Returns None for the subset estimator, whose later samples depend on its
     own evaluations; otherwise the (stream, size, blocks) of a running
-    RandomInput.blocks_u draw, which the worker fills until the estimate reads it.
+    RandomInput.blocks_u draw, which its worker fills whether or not it is read.
     """
     if isinstance(cfg, SubsetConfig):
         return None
@@ -341,14 +330,12 @@ def estimate(
     """Dispatch on the estimator configuration type.
 
     draw, if given, is start_draw(input, cfg, stream) called ahead of time; a
-    draw of another stream or size raises ValueError. The estimate closes the
-    draw however it ends.
+    draw of another stream or size raises ValueError.
     """
     if isinstance(cfg, McConfig):
         return mc_estimate(g, theta, input, cfg.n_samples, stream, draw)
     if isinstance(cfg, SubsetConfig):
         if draw is not None:
-            draw[2].close()
             raise ValueError("the subset estimator takes no Monte Carlo draw")
         return subset_estimate(g, theta, input, cfg, stream)
     if isinstance(cfg, HybridConfig):

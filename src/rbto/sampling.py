@@ -7,10 +7,13 @@ Lognormal marginals are specified by their physical-space mean and standard
 deviation and are moment-matched:
 
     sigma_ln^2 = ln(1 + (std/mean)^2),   mu_ln = ln(mean) - sigma_ln^2 / 2.
+
+RandomInput.blocks_u draws a large u-space batch into one array on a worker
+thread, which queues every fill at the start and exits after the last, and
+hands out each range as it is filled; nothing has to be closed.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DRAW_AHEAD = 2  # blocks a draw worker fills ahead of its caller; a draw holds DRAW_AHEAD + 1 blocks
+DRAW_AHEAD = 2  # blocks a draw fills in its first call, before the caller can read any
 
 
 @dataclass(frozen=True)
@@ -127,49 +130,25 @@ class RandomInput:
         return stream.rng().standard_normal((n, self.dim))
 
     def blocks_u(self, n: int, stream: SampleStream, rows: int):
-        """Start drawing sample_u(n, stream); return a generator of its points in blocks.
+        """Start drawing sample_u(n, stream); return an iterator over its points in ranges.
 
-        The blocks come in order, at most `rows` rows each, and equal the single
-        draw bit for bit (PCG64 fills sequentially). stream.rng() is called here,
-        on the caller's thread, and one worker thread starts filling at once, up
-        to DRAW_AHEAD blocks ahead of the caller, so a draw can be started well
-        before it is read. The first DRAW_AHEAD blocks are filled by one call:
-        the worker needs the GIL once for them, and a caller that keeps taking
-        and releasing the GIL can hold it off for many milliseconds. The blocks
-        are views of a ring of DRAW_AHEAD + 1 slots, so a block is valid only
-        until the next one is requested. Closing the generator, however it ends
-        and even before its first block, shuts the worker down.
+        stream.rng() is called here, on the caller's thread, and every fill of
+        one (n, dim) array is queued at once on one worker thread: the first
+        DRAW_AHEAD blocks of `rows` rows in one call, since a busy caller can
+        hold the worker off the GIL for milliseconds, then one block per call,
+        so the caller reads the first ranges while the last are drawn. Each
+        range is yielded once filled, stays valid and equals that part of the
+        single draw bit for bit. The worker exits after its last fill, read or not.
         """
         if n < 1:
             raise ValueError("sample count must be >= 1")
-
-        def blocks():
-            rng = stream.rng()
-            n_blocks = -(-n // rows)
-            slots = min(DRAW_AHEAD + 1, n_blocks)
-            ring = np.empty((slots * min(rows, n), self.dim))  # block k lives in slot k % slots
-
-            def fill(first: int, count: int) -> None:  # blocks first .. first + count - 1, in adjacent slots
-                start = (first % slots) * rows
-                rng.standard_normal(out=ring[start:start + min(count * rows, n - first * rows)])
-
-            pool = ThreadPoolExecutor(max_workers=1)
-            try:
-                ahead = min(DRAW_AHEAD, n_blocks)
-                pending = collections.deque([pool.submit(fill, 0, ahead)] * ahead)
-                yield None  # started: the worker is filling
-                for k in range(n_blocks):
-                    pending.popleft().result()
-                    if k + DRAW_AHEAD < n_blocks:
-                        pending.append(pool.submit(fill, k + DRAW_AHEAD, 1))
-                    start = (k % slots) * rows
-                    yield ring[start:start + min(rows, n - k * rows)]
-            finally:
-                pool.shutdown(cancel_futures=True)
-
-        draw = blocks()
-        next(draw)
-        return draw
+        rng = stream.rng()
+        u = np.empty((n, self.dim))
+        edges = [0, *range(min(DRAW_AHEAD * rows, n), n, rows), n]
+        pool = ThreadPoolExecutor(max_workers=1)
+        fills = [pool.submit(rng.standard_normal, out=u[a:b]) for a, b in zip(edges, edges[1:])]
+        pool.shutdown(wait=False)
+        return (fill.result() for fill in fills)
 
     def from_u(self, u: np.ndarray) -> np.ndarray:
         """Map u-space points to physical space (vector or n x dim matrix)."""

@@ -19,8 +19,7 @@ The penalty is inactive until the first refresh, which gives the
 failure-density parameters a short burn-in on early failures before they
 start steering the design. Right after each refresh the Monte Carlo batch of
 the next one starts drawing on a worker thread (reliability.start_draw), so
-it is ready when that refresh comes; no draw starts past the last refresh,
-and a pending one is closed however the run ends.
+it is ready when that refresh comes; no draw starts past the last refresh.
 """
 from __future__ import annotations
 
@@ -105,6 +104,8 @@ class OptimizerConfig:
             raise ValueError("seed must be >= 0")
         if self.kappa_f < 0.0:
             raise ValueError("kappa_f must be >= 0")
+        if not self.eta_f > 0.0:
+            raise ValueError("eta_f must be > 0")
         if not 0.0 < self.p_a < 1.0:
             raise ValueError("p_a must lie in (0, 1)")
 
@@ -185,57 +186,53 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
         return hist
 
     ahead = None  # the next refresh's Monte Carlo draw, started right after a refresh
-    try:
-        for k in range(1, iters + 1):
-            try:
-                if cfg.kappa_f > 0.0 and k % cfg.m == 0:
-                    est = estimate(
-                        problem.limit_state, theta, problem.random_input,
-                        cfg.estimator, root.child("pf", k), ahead,
-                    )
-                    ahead = None
-                    if k + cfg.m <= iters:  # fill the next refresh's batch during the iterations before it
-                        ahead = start_draw(problem.random_input, cfg.estimator, root.child("pf", k + cfg.m))
-                    p_iters.append(k)
-                    p_vals.append(est.p_hat)
-                    ratio = float(np.log(max(est.p_hat, p_floor) / cfg.p_a))
-                    log_ratio = ratio if log_ratio is None else 0.5 * (log_ratio + ratio)
+    for k in range(1, iters + 1):
+        try:
+            if cfg.kappa_f > 0.0 and k % cfg.m == 0:
+                est = estimate(
+                    problem.limit_state, theta, problem.random_input,
+                    cfg.estimator, root.child("pf", k), ahead,
+                )
+                ahead = None
+                if k + cfg.m <= iters:  # fill the next refresh's batch during the iterations before it
+                    ahead = start_draw(problem.random_input, cfg.estimator, root.child("pf", k + cfg.m))
+                p_iters.append(k)
+                p_vals.append(est.p_hat)
+                ratio = float(np.log(max(est.p_hat, p_floor) / cfg.p_a))
+                log_ratio = ratio if log_ratio is None else 0.5 * (log_ratio + ratio)
 
-                batch = problem.random_input.sample(cfg.n, root.child("batch", k))
-                gs = problem.limit_state.batch(theta, batch)
-                if np.any(gs <= 0.0):
-                    model = fd.update(model, [theta])
-                    hist.failure_update[k - 1] = True
+            batch = problem.random_input.sample(cfg.n, root.child("batch", k))
+            gs = problem.limit_state.batch(theta, batch)
+            if np.any(gs <= 0.0):
+                model = fd.update(model, [theta])
+                hist.failure_update[k - 1] = True
 
-                if cfg.kappa_f > 0.0 and log_ratio is not None:
-                    p_smooth = min(cfg.p_a * float(np.exp(log_ratio)), 1.0)
-                    penalty = fd.penalty_gradient(model, p_smooth, cfg.p_a, cfg.kappa_f)
-                else:
-                    penalty = np.zeros(problem.dim)
+            if cfg.kappa_f > 0.0 and log_ratio is not None:
+                p_smooth = min(cfg.p_a * float(np.exp(log_ratio)), 1.0)
+                penalty = fd.penalty_gradient(model, p_smooth, cfg.p_a, cfg.kappa_f)
+            else:
+                penalty = np.zeros(problem.dim)
 
-                h, obj = stochastic_gradient(problem, theta, batch, penalty)
-                hist.n_objective_evals += cfg.n
-                hist.objective[k - 1] = obj
-                if problem.objective_expected is not None:
-                    hist.objective_expected[k - 1] = problem.objective_expected(theta)
-                hist.alpha[k - 1] = model.alpha
-                hist.beta_norm[k - 1] = float(np.linalg.norm(model.beta))
+            h, obj = stochastic_gradient(problem, theta, batch, penalty)
+            hist.n_objective_evals += cfg.n
+            hist.objective[k - 1] = obj
+            if problem.objective_expected is not None:
+                hist.objective_expected[k - 1] = problem.objective_expected(theta)
+            hist.alpha[k - 1] = model.alpha
+            hist.beta_norm[k - 1] = float(np.linalg.norm(model.beta))
 
-                if not np.all(np.isfinite(h)):
-                    bad = int(np.nonzero(~np.isfinite(h))[0][0])
-                    raise FloatingPointError(f"non-finite gradient component {bad} at iteration {k}")
-                theta = project(theta - cfg.eta * h, problem.lower, problem.upper)
-                if not np.all(np.isfinite(theta)):
-                    bad = int(np.nonzero(~np.isfinite(theta))[0][0])
-                    raise FloatingPointError(f"non-finite design component {bad} at iteration {k}")
-            # FloatingPointError covers the density-model overflow, a failed
-            # surrogate fit and a singular FE system, besides the checks above
-            except (FloatingPointError, SubsetStallError) as err:
-                for arr in (hist.objective, hist.alpha, hist.beta_norm):
-                    arr[k - 1 :] = np.nan
-                raise OptimizerError(str(err), k, finalize()) from err
-    finally:
-        if ahead is not None:
-            ahead[2].close()
+            if not np.all(np.isfinite(h)):
+                bad = int(np.nonzero(~np.isfinite(h))[0][0])
+                raise FloatingPointError(f"non-finite gradient component {bad} at iteration {k}")
+            theta = project(theta - cfg.eta * h, problem.lower, problem.upper)
+            if not np.all(np.isfinite(theta)):
+                bad = int(np.nonzero(~np.isfinite(theta))[0][0])
+                raise FloatingPointError(f"non-finite design component {bad} at iteration {k}")
+        # FloatingPointError covers the density-model overflow, a failed
+        # surrogate fit and a singular FE system, besides the checks above
+        except (FloatingPointError, SubsetStallError) as err:
+            for arr in (hist.objective, hist.alpha, hist.beta_norm):
+                arr[k - 1 :] = np.nan
+            raise OptimizerError(str(err), k, finalize()) from err
 
     return theta, finalize()

@@ -93,9 +93,11 @@ class TestConfigParsing:
         ({"iterations": 10**30}, "iterations must be <= 1000000000"),
         ({"estimator": {"method": "mc", "n_samples": 10**30}}, "n_samples must be <= 1000000000"),
         ({"problem": "beam", "problem_params": {"nx": 10**30}}, "nx must be <= 1000000000"),
+        ({"eta_f": -1}, "eta_f must be > 0"),
+        ({"eta_f": 0}, "eta_f must be > 0"),
     ], ids=["iterations", "p0", "n_grid", "n_fit", "theta0", "kappa_c", "iterations_float",
             "seed_bool", "posthoc_samples", "out_dir", "problem_list", "method_list",
-            "iterations_huge", "n_samples_huge", "nx_huge"])
+            "iterations_huge", "n_samples_huge", "nx_huge", "eta_f_negative", "eta_f_zero"])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
         assert_config_error(tmp_path, capsys, ["run", path], message)

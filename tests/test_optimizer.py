@@ -262,8 +262,6 @@ class TestSmoothedPenaltySignal:
         script = iter(p_hats)
 
         def fake_estimate(g, theta, random_input, cfg, stream, draw=None):
-            if draw is not None:
-                draw[2].close()  # the Monte Carlo batch started ahead goes unread
             return ReliabilityEstimate(p_hat=next(script), method="mc")
 
         monkeypatch.setattr(sgd, "estimate", fake_estimate)
@@ -327,7 +325,7 @@ class TestSmoothedPenaltySignal:
         assert hist.p_f_iterations.size == 0
 
 
-def test_draw_ahead_changes_no_result(monkeypatch):
+def test_draw_ahead_changes_no_result(monkeypatch, threads_left):
     # the truss-hybrid settings over three refreshes: the batches started ahead
     # give the run that draws each refresh batch when the refresh comes
     cfg = OptimizerConfig(
@@ -341,12 +339,12 @@ def test_draw_ahead_changes_no_result(monkeypatch):
     def drop_draw(g, theta, random_input, est_cfg, stream, draw=None):
         if draw is not None:
             dropped.append(draw)
-            draw[2].close()
         return shipped_estimate(g, theta, random_input, est_cfg, stream)
 
     monkeypatch.setattr(sgd, "estimate", drop_draw)
     undrawn = run(truss.make_problem(), cfg)
     assert len(dropped) == 2  # the refreshes at 200 and 300
+    assert threads_left() == 0  # the dropped draws' workers exit after their fills
     assert np.array_equal(shipped[0], undrawn[0])
     for f in dataclasses.fields(sgd.RunHistory):
         a, b = getattr(shipped[1], f.name), getattr(undrawn[1], f.name)

@@ -1,9 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 from scipy import stats
 
+from rbto import sgd
 from rbto.reliability import (
     DRAW_BLOCK,
     EVAL_CHUNK,
@@ -266,23 +265,21 @@ class TestDrawAhead:
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_started_draw_gives_the_same_estimate(self, cfg):
-        baseline = threading.active_count()
+    def test_started_draw_gives_the_same_estimate(self, cfg, threads_left):
         stream = SampleStream(20).child("pf", 100)
         draw = start_draw(U1, cfg, stream)
         ahead = estimate(shifted_limit_state(2.0), None, U1, cfg, stream, draw)
         assert ahead == estimate(shifted_limit_state(2.0), None, U1, cfg, stream)
-        assert threading.active_count() == baseline
+        assert threads_left() == 0
 
     @pytest.mark.parametrize("ahead", [False, True])
-    def test_failed_fit_closes_the_draw(self, ahead):
-        baseline = threading.active_count()
+    def test_failed_fit_leaves_no_thread(self, ahead, threads_left):
         cfg = HybridConfig(gamma=1.0, n_samples=2 * DRAW_BLOCK + 5, n_fit=30, pce_order=3)
         stream = SampleStream(22)
         draw = start_draw(U1, cfg, stream) if ahead else None
         with pytest.raises(PceFitError):
             estimate(constant_limit_state(np.nan), None, U1, cfg, stream, draw)
-        assert threading.active_count() == baseline
+        assert threads_left() == 0
 
     def test_subset_starts_no_draw(self):
         assert start_draw(U1, SubsetConfig(), SampleStream(1)) is None
@@ -293,16 +290,15 @@ class TestDrawAhead:
         SubsetConfig(n_samples=500),
     ])
     @pytest.mark.parametrize("k, n", [(200, 1000), (100, 999)])  # wrong stream, wrong size
-    def test_mismatched_draw_raises_value_error(self, cfg, k, n):
-        baseline = threading.active_count()
+    def test_mismatched_draw_raises_value_error(self, cfg, k, n, threads_left):
         draw = start_draw(U1, McConfig(n), SampleStream(21).child("pf", k))
         with pytest.raises(ValueError, match="draw"):
             estimate(shifted_limit_state(2.0), None, U1, cfg, SampleStream(21).child("pf", 100), draw)
-        assert threading.active_count() == baseline
+        assert threads_left() == 0
 
 
 class TestDrawAheadThreads:
-    """sgd.run leaves no draw worker behind, however the run ends."""
+    """sgd.run starts each refresh's draw ahead and leaves no draw worker behind."""
 
     @staticmethod
     def config():
@@ -312,52 +308,52 @@ class TestDrawAheadThreads:
             estimator=HybridConfig(n_samples=2 * DRAW_BLOCK + 5, n_fit=100, pce_order=4),
         )
 
-    @staticmethod
-    def counting_objective(problem, at, fail=False):
-        """Record the thread count when the objective is called for the at-th time."""
-        seen, objective = {}, problem.objective_batch
+    def test_draws_start_ahead_of_each_refresh(self, monkeypatch):
+        problem, calls, started = make_problem(), [0], []
+        objective, shipped_start_draw = problem.objective_batch, sgd.start_draw
 
         def counted(theta, xis):
-            seen["calls"] = seen.get("calls", 0) + 1
-            value, grad = objective(theta, xis)
-            if seen["calls"] in at:
-                seen[seen["calls"]] = threading.active_count()
-                if fail:
-                    grad = np.full_like(grad, np.nan)
-            return value, grad
+            calls[0] += 1
+            return objective(theta, xis)
+
+        def recorded(random_input, cfg, stream):
+            started.append((stream.path, calls[0]))
+            return shipped_start_draw(random_input, cfg, stream)
 
         problem.objective_batch = counted
-        return seen
-
-    def test_normal_run(self):
-        baseline = threading.active_count()
-        problem = make_problem()
-        seen = self.counting_objective(problem, (150, 300))
+        monkeypatch.setattr(sgd, "start_draw", recorded)
         run(problem, self.config())
-        assert seen[150] == baseline + 1  # the draw of the refresh at 200 is pending
-        assert seen[300] == baseline  # none is started after the last refresh
-        assert threading.active_count() == baseline
+        # right after the refreshes at 100 and 200, before their iterations'
+        # objective; none after the last refresh
+        assert started == [(("pf", 200), 99), (("pf", 300), 199)]
 
-    def test_optimizer_error_between_refreshes(self):
-        baseline = threading.active_count()
+    def test_normal_run(self, threads_left):
+        run(make_problem(), self.config())
+        assert threads_left() == 0
+
+    def test_optimizer_error_between_refreshes(self, threads_left):
         problem = make_problem()
-        seen = self.counting_objective(problem, (150,), fail=True)
+        objective, calls = problem.objective_batch, [0]
+
+        def failing(theta, xis):  # non-finite gradient at iteration 150
+            calls[0] += 1
+            value, grad = objective(theta, xis)
+            return value, np.full_like(grad, np.nan) if calls[0] == 150 else grad
+
+        problem.objective_batch = failing
         with pytest.raises(OptimizerError, match="non-finite gradient") as err:
             run(problem, self.config())
         assert err.value.iteration == 150
-        assert seen[150] == baseline + 1
-        assert threading.active_count() == baseline
+        assert threads_left() == 0
 
-    def test_fit_error_inside_a_refresh(self):
-        baseline = threading.active_count()
+    def test_fit_error_inside_a_refresh(self, threads_left):
         problem = make_problem()
-        exact, seen = problem.limit_state.batch_fn, {"fits": 0}
+        exact, fits = problem.limit_state.batch_fn, [0]
 
         def g(theta, xis):
             if len(xis) == 100:  # the surrogate fit of a refresh
-                seen["fits"] += 1
-                if seen["fits"] == 2:
-                    seen["threads"] = threading.active_count()
+                fits[0] += 1
+                if fits[0] == 2:  # the refresh at 200, whose draw was started ahead
                     return np.full(len(xis), np.nan)
             return exact(theta, xis)
 
@@ -366,5 +362,4 @@ class TestDrawAheadThreads:
             run(problem, self.config())
         assert isinstance(err.value.__cause__, PceFitError)
         assert err.value.iteration == 200
-        assert seen["threads"] == baseline + 1  # the draw started ahead for this refresh
-        assert threading.active_count() == baseline
+        assert threads_left() == 0

@@ -1,4 +1,3 @@
-import threading
 import time
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream
+from rbto.sampling import DRAW_AHEAD, Lognormal, Normal, RandomInput, SampleStream
 
 
 def lognormal_to_u(rv, x):
@@ -52,9 +51,11 @@ def test_blocks_u_concatenate_to_sample_u(dim, n):
     # chunked fills from one generator equal the single draw bit for bit
     ri = RandomInput((Normal(),) * dim)
     stream = SampleStream(17).child("blocks")
-    blocks = [block.copy() for block in ri.blocks_u(n, stream, BLOCK_ROWS)]
-    assert [len(b) for b in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
-    assert 1 <= len(blocks[-1]) <= BLOCK_ROWS
+    blocks = list(ri.blocks_u(n, stream, BLOCK_ROWS))
+    lengths = [min(DRAW_AHEAD * BLOCK_ROWS, n)]  # the first fill covers DRAW_AHEAD blocks
+    while sum(lengths) < n:
+        lengths.append(min(BLOCK_ROWS, n - sum(lengths)))
+    assert [len(b) for b in blocks] == lengths
     assert np.array_equal(np.concatenate(blocks), ri.sample_u(n, stream))
 
 
@@ -68,12 +69,12 @@ def test_blocks_u_read_after_a_delay_equals_sample_u():
     assert np.array_equal(np.concatenate(blocks), ri.sample_u(n, SampleStream(18).child("late")))
 
 
-def test_blocks_u_closed_before_reading_leaves_no_thread():
-    baseline = threading.active_count()
-    draw = RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(4), BLOCK_ROWS)
-    assert threading.active_count() == baseline + 1  # filling already
-    draw.close()
-    assert threading.active_count() == baseline
+def test_blocks_u_unread_draw_leaves_no_thread(threads_left):
+    ri = RandomInput((Normal(),))
+    n = 3 * BLOCK_ROWS + 5
+    draw = ri.blocks_u(n, SampleStream(4), BLOCK_ROWS)
+    assert threads_left() == 0  # the worker exits after its last fill, read or not
+    assert np.array_equal(np.concatenate(list(draw)), ri.sample_u(n, SampleStream(4)))
 
 
 def test_blocks_u_rejects_empty_draw():
@@ -81,20 +82,18 @@ def test_blocks_u_rejects_empty_draw():
         RandomInput((Normal(),)).blocks_u(0, SampleStream(1), BLOCK_ROWS)
 
 
-def test_blocks_u_consumer_that_breaks_leaves_no_thread():
-    baseline = threading.active_count()
+def test_blocks_u_consumer_that_breaks_leaves_no_thread(threads_left):
     for _ in RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(2), BLOCK_ROWS):
-        assert threading.active_count() <= baseline + 1  # one worker at most
+        assert threads_left(timeout=0.0) <= 1  # one worker at most
         break
-    assert threading.active_count() == baseline
+    assert threads_left() == 0
 
 
-def test_blocks_u_consumer_that_raises_leaves_no_thread():
-    baseline = threading.active_count()
+def test_blocks_u_consumer_that_raises_leaves_no_thread(threads_left):
     with pytest.raises(RuntimeError, match="consumer failed"):
         for _ in RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(3), BLOCK_ROWS):
             raise RuntimeError("consumer failed")
-    assert threading.active_count() == baseline
+    assert threads_left() == 0
 
 
 def test_distinct_paths_are_uncorrelated():
