@@ -10,10 +10,13 @@ u-space, and a hybrid scheme that screens Monte Carlo samples through a
 polynomial chaos surrogate and re-evaluates only those in the band
 |ghat| <= gamma with the exact model. Both Monte Carlo estimators draw their
 batch with RandomInput.blocks_u, which fills it on a worker thread in ranges
-of DRAW_BLOCK rows while the filled ones are evaluated; the estimates are
-bit-identical to drawing the batch at once. start_draw starts that batch
-before the estimate is called (the optimizer starts each refresh's batch
-right after the refresh before it) and estimate(..., draw) reads it.
+of DRAW_BLOCK rows while the filled ones are evaluated, the caller drawing
+the ranges it would otherwise wait for. Up to DRAW_AHEAD * DRAW_BLOCK points
+the batch is the single draw sample_u; past that, each later DRAW_BLOCK-row
+range has a generator of its own, so these two constants define the batch.
+start_draw starts that batch before the estimate is called (the optimizer
+starts each refresh's batch right after the refresh before it) and
+estimate(..., draw) reads it.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .sampling import RandomInput, SampleStream
 
 MAX_COUNT = 10**9  # upper bound of every count setting (sample sizes, iterations, mesh sizes)
 EVAL_CHUNK = 1 << 14  # rows per block when screening a batch with the fitted surrogate
-DRAW_BLOCK = 16 * EVAL_CHUNK  # rows per fill of a Monte Carlo draw (2 MB at dim 1)
+DRAW_BLOCK = 4 * EVAL_CHUNK  # rows per fill of a Monte Carlo draw past its first (512 kB at dim 1)
 
 
 def check_counts(cfg, *keys: str) -> None:
@@ -290,7 +293,7 @@ def hybrid_estimate(
             block = drawn[start:start + EVAL_CHUNK]
             ghat = model.evaluate_u(block)
             n_fail += int(np.count_nonzero(ghat < -cfg.gamma))
-            band_rows.append(block[np.abs(ghat) <= cfg.gamma])
+            band_rows.append(block.take(np.flatnonzero(np.abs(ghat, out=ghat) <= cfg.gamma), axis=0))
     u_band = np.concatenate(band_rows)
     if len(u_band):
         n_fail += int(np.count_nonzero(g.batch(theta, input.from_u(u_band)) <= 0.0))

@@ -8,9 +8,12 @@ deviation and are moment-matched:
 
     sigma_ln^2 = ln(1 + (std/mean)^2),   mu_ln = ln(mean) - sigma_ln^2 / 2.
 
-RandomInput.blocks_u draws a large u-space batch into one array on a worker
-thread, which queues every fill at the start and exits after the last, and
-hands out each range as it is filled; nothing has to be closed.
+RandomInput.blocks_u draws a large u-space batch into one array on two
+threads: a worker queues every fill at the start and exits after the last,
+while the caller, whenever the range it reads next is not yet filled, takes
+the last fill still queued and draws it itself. The first fill comes from the
+stream's own generator and each later block from a generator of its own, so
+the bits do not depend on which thread drew a block; nothing has to be closed.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DRAW_AHEAD = 2  # blocks a draw fills in its first call, before the caller can read any
+DRAW_AHEAD = 8  # blocks a draw fills in its first call, from the stream's own generator
 
 
 @dataclass(frozen=True)
@@ -54,19 +57,29 @@ class Lognormal:
 RandomVariable = Normal | Lognormal
 
 
+def _words(value: int) -> list[int]:
+    """The 32-bit words, least significant first, that SeedSequence splits a non-negative int into."""
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 @functools.lru_cache(maxsize=128)  # labels are a handful of names fixed in the code
-def _digest(label: str) -> int:
-    return int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little")
+def _digest_words(label: str) -> list[int]:
+    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+    return [2, *_words(int.from_bytes(digest, "little"))]
 
 
-def _encode_label(label) -> list[int]:
+def _label_words(label) -> list[int]:
     # Stable across processes; never use built-in hash() here.
     if isinstance(label, (int, np.integer)):
         if label < 0:
             raise ValueError(f"stream path labels must be non-negative, got {label}")
-        return [1, int(label)]
+        return [1, *_words(int(label))]
     if isinstance(label, str):
-        return [2, _digest(label)]
+        return _digest_words(label)
     raise TypeError(f"stream path labels must be int or str, got {type(label).__name__}")
 
 
@@ -86,16 +99,18 @@ class SampleStream:
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         for label in self.path:
-            _encode_label(label)
+            _label_words(label)
 
     def child(self, *labels) -> "SampleStream":
         return SampleStream(self.seed, self.path + tuple(labels))
 
     def rng(self) -> np.random.Generator:
-        words = [self.seed]
+        # SeedSequence([seed, 1, int label, 2, str digest, ...]) from its own 32-bit
+        # words: an array of them skips its per-int conversion
+        words = _words(self.seed)
         for label in self.path:
-            words.extend(_encode_label(label))
-        return np.random.default_rng(np.random.SeedSequence(words))
+            words += _label_words(label)
+        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 @dataclass(frozen=True)
@@ -130,25 +145,30 @@ class RandomInput:
         return stream.rng().standard_normal((n, self.dim))
 
     def blocks_u(self, n: int, stream: SampleStream, rows: int):
-        """Start drawing sample_u(n, stream); return an iterator over its points in ranges.
+        """Start drawing n u-space points; return an iterator over them in ranges.
 
-        stream.rng() is called here, on the caller's thread, and every fill of
-        one (n, dim) array is queued at once on one worker thread: the first
-        DRAW_AHEAD blocks of `rows` rows in one call, since a busy caller can
-        hold the worker off the GIL for milliseconds, then one block per call,
-        so the caller reads the first ranges while the last are drawn. Each
-        range is yielded once filled, stays valid and equals that part of the
-        single draw bit for bit. The worker exits after its last fill, read or not.
+        The first fill, min(n, DRAW_AHEAD * rows) rows, is sample_u of that
+        size; fill b >= 1 is the next `rows` rows (fewer at the end), drawn by
+        stream.child(b).rng(). So a draw of at most DRAW_AHEAD * rows points
+        equals sample_u(n, stream) bit for bit, and DRAW_AHEAD and `rows` define
+        the points past it. Every generator is made here, on the caller's
+        thread, and every fill of one (n, dim) array is queued at once on one
+        worker thread, the first in one call because a busy caller can hold
+        the worker off the GIL for milliseconds. While the range it reads next
+        is not filled, the caller cancels the last fill still queued and draws
+        it itself. Each range is yielded once filled and stays valid. The
+        worker exits after its last fill, read or not.
         """
         if n < 1:
             raise ValueError("sample count must be >= 1")
-        rng = stream.rng()
-        u = np.empty((n, self.dim))
         edges = [0, *range(min(DRAW_AHEAD * rows, n), n, rows), n]
+        rngs = [stream.rng(), *(stream.child(b).rng() for b in range(1, len(edges) - 1))]
+        u = np.empty((n, self.dim))
+        ranges = [u[a:b] for a, b in zip(edges, edges[1:])]
         pool = ThreadPoolExecutor(max_workers=1)
-        fills = [pool.submit(rng.standard_normal, out=u[a:b]) for a, b in zip(edges, edges[1:])]
+        fills = [pool.submit(rng.standard_normal, out=out) for rng, out in zip(rngs, ranges)]
         pool.shutdown(wait=False)
-        return (fill.result() for fill in fills)
+        return _read(ranges, rngs, fills)
 
     def from_u(self, u: np.ndarray) -> np.ndarray:
         """Map u-space points to physical space (vector or n x dim matrix)."""
@@ -157,3 +177,16 @@ class RandomInput:
             if isinstance(rv, Lognormal):
                 x[..., i] = np.exp(rv.mu_ln + rv.sigma_ln * x[..., i])
         return x
+
+
+def _read(ranges, rngs, fills):
+    """Yield each range once its fill is done, drawing the last queued fills here while it is not."""
+    last = len(fills)  # fills from here on are drawn here, running or done
+    for i, fill in enumerate(fills):
+        while last > i and not fill.done():
+            last -= 1
+            if fills[last].cancel():
+                rngs[last].standard_normal(out=ranges[last])
+        if not fill.cancelled():
+            fill.result()
+        yield ranges[i]

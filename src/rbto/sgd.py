@@ -186,6 +186,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
         return hist
 
     ahead = None  # the next refresh's Monte Carlo draw, started right after a refresh
+    stale = True  # the penalty and ||beta|| change only with a refresh or a failure update
     for k in range(1, iters + 1):
         try:
             if cfg.kappa_f > 0.0 and k % cfg.m == 0:
@@ -200,18 +201,23 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
                 p_vals.append(est.p_hat)
                 ratio = float(np.log(max(est.p_hat, p_floor) / cfg.p_a))
                 log_ratio = ratio if log_ratio is None else 0.5 * (log_ratio + ratio)
+                stale = True
 
             batch = problem.random_input.sample(cfg.n, root.child("batch", k))
             gs = problem.limit_state.batch(theta, batch)
             if np.any(gs <= 0.0):
                 model = fd.update(model, [theta])
                 hist.failure_update[k - 1] = True
+                stale = True
 
-            if cfg.kappa_f > 0.0 and log_ratio is not None:
-                p_smooth = min(cfg.p_a * float(np.exp(log_ratio)), 1.0)
-                penalty = fd.penalty_gradient(model, p_smooth, cfg.p_a, cfg.kappa_f)
-            else:
-                penalty = np.zeros(problem.dim)
+            if stale:
+                if cfg.kappa_f > 0.0 and log_ratio is not None:
+                    p_smooth = min(cfg.p_a * float(np.exp(log_ratio)), 1.0)
+                    penalty = fd.penalty_gradient(model, p_smooth, cfg.p_a, cfg.kappa_f)
+                else:
+                    penalty = np.zeros(problem.dim)
+                beta_norm = float(np.linalg.norm(model.beta))
+                stale = False
 
             h, obj = stochastic_gradient(problem, theta, batch, penalty)
             hist.n_objective_evals += cfg.n
@@ -219,7 +225,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
             if problem.objective_expected is not None:
                 hist.objective_expected[k - 1] = problem.objective_expected(theta)
             hist.alpha[k - 1] = model.alpha
-            hist.beta_norm[k - 1] = float(np.linalg.norm(model.beta))
+            hist.beta_norm[k - 1] = beta_norm
 
             if not np.all(np.isfinite(h)):
                 bad = int(np.nonzero(~np.isfinite(h))[0][0])

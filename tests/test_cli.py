@@ -1,12 +1,16 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rbto import fem
 from rbto.cli import ConfigError, load_config, main, parse_config
-from rbto.reliability import HybridConfig
+from rbto.reliability import DRAW_BLOCK, HybridConfig
+from rbto.sampling import DRAW_AHEAD
+
+BEAM_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("beam_*.json"))
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -147,6 +151,14 @@ class TestConfigParsing:
             parse_config({"problem": "truss", "seed": 1, "p_a": 2.0})
         with pytest.raises(ConfigError, match="eta"):
             parse_config({"problem": "truss", "seed": 1, "eta": -1.0})
+
+    @pytest.mark.parametrize("path", BEAM_CONFIGS, ids=lambda path: path.stem)
+    def test_beam_draws_stay_in_the_first_fill(self, path):
+        # the first fill of a Monte Carlo draw is the single draw sample_u, so a
+        # retune of DRAW_AHEAD or DRAW_BLOCK cannot change a shipped beam run
+        cfg = load_config(path)
+        assert cfg.optimizer.estimator.n_samples <= DRAW_AHEAD * DRAW_BLOCK
+        assert cfg.posthoc.n_samples <= DRAW_AHEAD * DRAW_BLOCK
 
 
 class TestRunCommand:

@@ -18,12 +18,18 @@ from rbto.reliability import (
     subset_estimate,
 )
 from rbto.pce import PceFitError
-from rbto.sampling import Lognormal, Normal, RandomInput, SampleStream
+from rbto.sampling import DRAW_AHEAD, Lognormal, Normal, RandomInput, SampleStream
 from rbto.sgd import OptimizerConfig, OptimizerError, run
 from rbto.truss import TrussProblem, failure_probability, limit_state, make_problem
 
 U1 = RandomInput((Normal(),))
 PHI_MINUS_3 = float(stats.norm.cdf(-3.0))  # 1.3499e-3
+PAST_FIRST_FILL = (DRAW_AHEAD + 2) * DRAW_BLOCK  # a batch size two draw blocks past the first fill
+
+
+def whole_batch(input, n, stream):
+    """The Monte Carlo batch of an estimate of n points on stream, read at once."""
+    return np.concatenate(list(input.blocks_u(n, stream.child("mc"), DRAW_BLOCK)))
 
 
 def shifted_limit_state(b):
@@ -60,10 +66,10 @@ class TestMonteCarlo:
         assert g.n_evals == 500
 
     def test_draw_blocks_match_one_draw(self):
-        # over several draw blocks (and a lognormal column mapped per block) the
-        # estimate is the one of evaluating the whole batch at once
+        # over several draw blocks past the first fill (and a lognormal column
+        # mapped per block) the estimate is the one of evaluating the whole batch at once
         ri = RandomInput((Normal(), Lognormal(1.0, 0.2)))
-        n = 2 * DRAW_BLOCK + 7
+        n = PAST_FIRST_FILL + 7
         calls = []
 
         def g_fn(theta, xis):
@@ -71,8 +77,8 @@ class TestMonteCarlo:
             return 1.1 - xis[:, 1] + 0.05 * xis[:, 0]
 
         est = mc_estimate(LimitState(g_fn), None, ri, n, SampleStream(8))
-        assert calls == [DRAW_BLOCK, DRAW_BLOCK, 7]
-        assert est.p_hat == np.mean(g_fn(None, ri.sample(n, SampleStream(8).child("mc"))) <= 0.0)
+        assert calls == [DRAW_BLOCK] * (DRAW_AHEAD + 2) + [7]
+        assert est.p_hat == np.mean(g_fn(None, ri.from_u(whole_batch(ri, n, SampleStream(8)))) <= 0.0)
         assert est.n_exact_evals == n
 
 
@@ -169,7 +175,7 @@ class TestHybrid:
         # an infinite band sends every screened row to the exact model: over
         # several draw and screening blocks the estimate is the plain MC one on
         # the same stream, and the band rows arrive in one call, in draw order
-        n = DRAW_BLOCK + EVAL_CHUNK + 5
+        n = DRAW_AHEAD * DRAW_BLOCK + EVAL_CHUNK + 5
         cfg = HybridConfig(gamma=np.inf, n_samples=n, n_fit=30, pce_order=3)
         calls = []
 
@@ -182,7 +188,7 @@ class TestHybrid:
         assert est.p_hat == ref.p_hat
         assert est.n_exact_evals == cfg.n_fit + n
         assert [len(xis) for xis in calls] == [cfg.n_fit, n]
-        assert np.array_equal(calls[1], U1.sample(n, SampleStream(21).child("mc")))
+        assert np.array_equal(calls[1], whole_batch(U1, n, SampleStream(21)))
 
     def test_polynomial_limit_state_with_zero_band(self):
         # quadratic g is inside the order-4 basis span: surrogate is exact, the
@@ -260,8 +266,8 @@ class TestDrawAhead:
     """A refresh's Monte Carlo batch started early with start_draw, as the optimizer does."""
 
     CONFIGS = [
-        McConfig(n_samples=2 * DRAW_BLOCK + 5),
-        HybridConfig(gamma=1.0, n_samples=2 * DRAW_BLOCK + 5, n_fit=30, pce_order=3),
+        McConfig(n_samples=PAST_FIRST_FILL + 5),
+        HybridConfig(gamma=1.0, n_samples=PAST_FIRST_FILL + 5, n_fit=30, pce_order=3),
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -274,7 +280,7 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("ahead", [False, True])
     def test_failed_fit_leaves_no_thread(self, ahead, threads_left):
-        cfg = HybridConfig(gamma=1.0, n_samples=2 * DRAW_BLOCK + 5, n_fit=30, pce_order=3)
+        cfg = HybridConfig(gamma=1.0, n_samples=PAST_FIRST_FILL + 5, n_fit=30, pce_order=3)
         stream = SampleStream(22)
         draw = start_draw(U1, cfg, stream) if ahead else None
         with pytest.raises(PceFitError):
@@ -305,7 +311,7 @@ class TestDrawAheadThreads:
         # refreshes at 100, 200 and 300; draws started ahead at 100 and 200
         return OptimizerConfig(
             eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3, iterations=300, seed=1,
-            estimator=HybridConfig(n_samples=2 * DRAW_BLOCK + 5, n_fit=100, pce_order=4),
+            estimator=HybridConfig(n_samples=PAST_FIRST_FILL + 5, n_fit=100, pce_order=4),
         )
 
     def test_draws_start_ahead_of_each_refresh(self, monkeypatch):

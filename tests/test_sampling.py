@@ -1,4 +1,6 @@
-import time
+import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -42,39 +44,130 @@ def test_stream_words_pinned():
     assert batch.tolist() == [-0.7478595379644631, 0.48762322987512324, -1.7432605059822965]
 
 
+WORD_EDGES = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 7])  # one, two, three and four words
+
+
+@given(
+    seed=st.one_of(WORD_EDGES, st.integers(0, 2**70)),
+    path=st.lists(st.one_of(WORD_EDGES, st.integers(0, 2**70), st.text(max_size=8)), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_stream_state_is_the_seed_sequence_of_its_labels(seed, path):
+    # rng() seeds from 32-bit words; the state is that of SeedSequence([seed, *encoded labels])
+    words = [seed]
+    for label in path:
+        if isinstance(label, str):
+            digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+            words += [2, int.from_bytes(digest, "little")]
+        else:
+            words += [1, label]
+    expected = np.random.default_rng(np.random.SeedSequence(words)).bit_generator.state
+    assert SampleStream(seed, tuple(path)).rng().bit_generator.state == expected
+
+
 BLOCK_ROWS = 1000
+FIRST_FILL = DRAW_AHEAD * BLOCK_ROWS  # rows of a draw's first fill, the single draw sample_u
+
+
+def drawn_blocks(ri, n, stream, rows=BLOCK_ROWS):
+    """The ranges blocks_u(n, stream, rows) yields, by its contract: sample_u for
+    the first fill, then the generator of stream.child(b) for block b >= 1."""
+    first = min(DRAW_AHEAD * rows, n)
+    blocks = [ri.sample_u(first, stream)]
+    for b, start in enumerate(range(first, n, rows), start=1):
+        blocks.append(stream.child(b).rng().standard_normal((min(rows, n - start), ri.dim)))
+    return blocks
 
 
 @pytest.mark.parametrize("dim", [1, 3])
-@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5,
+                               FIRST_FILL, FIRST_FILL + 1, FIRST_FILL + 3 * BLOCK_ROWS + 5])
 def test_blocks_u_concatenate_to_sample_u(dim, n):
-    # chunked fills from one generator equal the single draw bit for bit
+    # up to the first fill the blocks are the single draw sample_u bit for bit;
+    # each later block comes from its own generator
     ri = RandomInput((Normal(),) * dim)
     stream = SampleStream(17).child("blocks")
     blocks = list(ri.blocks_u(n, stream, BLOCK_ROWS))
-    lengths = [min(DRAW_AHEAD * BLOCK_ROWS, n)]  # the first fill covers DRAW_AHEAD blocks
+    lengths = [min(FIRST_FILL, n)]  # the first fill covers DRAW_AHEAD blocks
     while sum(lengths) < n:
         lengths.append(min(BLOCK_ROWS, n - sum(lengths)))
     assert [len(b) for b in blocks] == lengths
-    assert np.array_equal(np.concatenate(blocks), ri.sample_u(n, stream))
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, drawn_blocks(ri, n, stream), strict=True))
+    if n <= FIRST_FILL:
+        assert np.array_equal(blocks[0], ri.sample_u(n, stream))
 
 
-def test_blocks_u_read_after_a_delay_equals_sample_u():
-    # the worker fills ahead while the caller is busy; the blocks are unchanged
+class _TracedRng:
+    """A generator that logs which thread makes each fill; a held fill waits for `release`."""
+
+    def __init__(self, rng, log, release, held):
+        self.rng, self.log, self.release, self.held = rng, log, release, held
+
+    def standard_normal(self, out):
+        if self.held:
+            assert self.release.wait(10.0)
+        self.log.append(threading.get_ident())
+        self.rng.standard_normal(out=out)
+        self.release.set()  # the first fill that is not held lets the held one go
+
+
+def test_blocks_u_read_after_a_delay_equals_read_at_once(monkeypatch, threads_left):
+    # the bits do not depend on which thread drew a block: read at once, with the
+    # worker held in its first fill, the caller draws the blocks it would wait
+    # for; read after the worker has exited, the worker drew every block
     ri = RandomInput((Normal(),) * 2)
-    n = 5 * BLOCK_ROWS + 7
-    draw = ri.blocks_u(n, SampleStream(18).child("late"), BLOCK_ROWS)
-    time.sleep(0.05)
-    blocks = [block.copy() for block in draw]
-    assert np.array_equal(np.concatenate(blocks), ri.sample_u(n, SampleStream(18).child("late")))
+    n = FIRST_FILL + 5 * BLOCK_ROWS + 7
+    stream = SampleStream(18).child("late")
+    expected = np.concatenate(drawn_blocks(ri, n, stream))
+    shipped_rng = SampleStream.rng
+    caller = threading.get_ident()
+
+    def draw(hold_first):
+        log, release = [], threading.Event()
+
+        def traced(s):
+            return _TracedRng(shipped_rng(s), log, release, hold_first and s == stream)
+
+        monkeypatch.setattr(SampleStream, "rng", traced)
+        blocks = ri.blocks_u(n, stream, BLOCK_ROWS)
+        monkeypatch.setattr(SampleStream, "rng", shipped_rng)
+        return blocks, log
+
+    at_once, log = draw(hold_first=True)
+    assert np.array_equal(np.concatenate(list(at_once)), expected)
+    assert caller in log
+    late, log = draw(hold_first=False)
+    assert threads_left() == 0
+    assert np.array_equal(np.concatenate(list(late)), expected)
+    assert len(log) == 7 and caller not in log
+
+
+def test_blocks_u_concurrent_draws_under_fast_switching(threads_left):
+    # four draws read in lockstep (more workers than cores) with a short switch
+    # interval: whichever thread takes a block, each is drawn once, by its own generator
+    ri = RandomInput((Normal(),))
+    n = FIRST_FILL + 20 * BLOCK_ROWS + 3
+    streams = [SampleStream(30).child(i) for i in range(4)]
+    expected = [np.concatenate(drawn_blocks(ri, n, stream)) for stream in streams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            draws = [ri.blocks_u(n, stream, BLOCK_ROWS) for stream in streams]
+            rounds = list(zip(*draws))  # one block of each draw at a time
+            read = [np.concatenate(blocks) for blocks in zip(*rounds)]
+            assert all(np.array_equal(a, b) for a, b in zip(read, expected))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threads_left() == 0
 
 
 def test_blocks_u_unread_draw_leaves_no_thread(threads_left):
     ri = RandomInput((Normal(),))
-    n = 3 * BLOCK_ROWS + 5
+    n = FIRST_FILL + 3 * BLOCK_ROWS + 5
     draw = ri.blocks_u(n, SampleStream(4), BLOCK_ROWS)
     assert threads_left() == 0  # the worker exits after its last fill, read or not
-    assert np.array_equal(np.concatenate(list(draw)), ri.sample_u(n, SampleStream(4)))
+    assert np.array_equal(np.concatenate(list(draw)), np.concatenate(drawn_blocks(ri, n, SampleStream(4))))
 
 
 def test_blocks_u_rejects_empty_draw():
@@ -83,7 +176,7 @@ def test_blocks_u_rejects_empty_draw():
 
 
 def test_blocks_u_consumer_that_breaks_leaves_no_thread(threads_left):
-    for _ in RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(2), BLOCK_ROWS):
+    for _ in RandomInput((Normal(),)).blocks_u(FIRST_FILL + 3 * BLOCK_ROWS + 5, SampleStream(2), BLOCK_ROWS):
         assert threads_left(timeout=0.0) <= 1  # one worker at most
         break
     assert threads_left() == 0
@@ -91,7 +184,7 @@ def test_blocks_u_consumer_that_breaks_leaves_no_thread(threads_left):
 
 def test_blocks_u_consumer_that_raises_leaves_no_thread(threads_left):
     with pytest.raises(RuntimeError, match="consumer failed"):
-        for _ in RandomInput((Normal(),)).blocks_u(3 * BLOCK_ROWS + 5, SampleStream(3), BLOCK_ROWS):
+        for _ in RandomInput((Normal(),)).blocks_u(FIRST_FILL + 3 * BLOCK_ROWS + 5, SampleStream(3), BLOCK_ROWS):
             raise RuntimeError("consumer failed")
     assert threads_left() == 0
 
