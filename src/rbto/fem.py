@@ -221,8 +221,9 @@ class BandedOperator:
     """Precomputed assembly-and-factorization pipeline on the free dofs.
 
     The stiffness sparsity pattern is fixed by the mesh, so per-design work
-    reduces to scattering scaled element matrices into a banded array and a
-    banded Cholesky factorization. The free dofs are numbered once, in
+    reduces to scattering scaled element matrices into a column-major banded
+    array and a banded Cholesky factorization that LAPACK runs on that array in
+    place (no transposing copy). The free dofs are numbered once, in
     `free_dofs` order (see `band_order`): the L-bracket's RCM order narrows
     its band from 147 to 103, the half-beam keeps its natural order (85).
     Loads are gathered and displacements scattered through that order.
@@ -241,7 +242,9 @@ class BandedOperator:
         upper = (ri >= 0) & (rj >= 0) & (ri <= rj)
         self.n_free = n_free
         self.bandwidth = int((rj[upper] - ri[upper]).max())
-        self.band_pos = (self.bandwidth + ri[upper] - rj[upper]) * n_free + rj[upper]
+        # column-major (bw+1, n) upper band: K[ri, rj] is entry (bw + ri - rj, rj),
+        # stored at rj*(bw+1) + bw + ri - rj
+        self.band_pos = (rj[upper] + 1) * self.bandwidth + ri[upper]
         self.entry_elem = np.repeat(np.arange(mesh.n_elems), 64)[upper]
         self.entry_ke = np.tile(ke.ravel(), mesh.n_elems)[upper]
         self.f_free = mesh.load_vector[self.free_dofs]
@@ -254,14 +257,14 @@ class BandedOperator:
         vals = scale[self.entry_elem] * self.entry_ke
         ab = np.bincount(
             self.band_pos, weights=vals, minlength=(self.bandwidth + 1) * self.n_free
-        ).reshape(self.bandwidth + 1, self.n_free)
+        ).reshape(self.n_free, self.bandwidth + 1).T
+        smallest = ab[-1].min()  # assembled diagonal; the factorization overwrites ab
         try:
-            chol = cholesky_banded(ab, lower=False, check_finite=False)
+            chol = cholesky_banded(ab, lower=False, overwrite_ab=True, check_finite=False)
         except LinAlgError as err:
-            pivots = ab[-1]  # diagonal of the banded storage
             raise SolverError(
                 f"stiffness matrix not positive definite "
-                f"(smallest diagonal {pivots.min():.3e}): {err}"
+                f"(smallest diagonal {smallest:.3e}): {err}"
             ) from err
         u_free = cho_solve_banded((chol, False), self.f_free, check_finite=False)
         u = np.zeros(self.mesh.n_dofs)

@@ -3,7 +3,9 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from rbto import fem
 from rbto.fem import (
     PENAL,
     BandedOperator,
@@ -55,6 +57,23 @@ def scaled_load_operator(op, load_mult):
     """A BandedOperator of the same mesh and element matrix under load_mult times the load."""
     mesh = dataclasses.replace(op.mesh, load_vector=load_mult * op.mesh.load_vector)
     return BandedOperator(mesh, op.ke)
+
+
+def dense_free_stiffness(op, scale):
+    """K(scale) assembled densely with op.ke, its rows and columns in op.free_dofs order."""
+    k = np.zeros((op.mesh.n_dofs, op.mesh.n_dofs))
+    for edof, s in zip(op.mesh.edofs, scale):
+        k[np.ix_(edof, edof)] += s * op.ke
+    return k[np.ix_(op.free_dofs, op.free_dofs)]
+
+
+def row_major_upper_band(k, bw):
+    """The (bw+1, n) upper band of k in C order: ab[bw + i - j, j] = k[i, j] for i <= j."""
+    n = len(k)
+    ab = np.zeros((bw + 1, n))
+    for d in range(bw + 1):
+        ab[bw - d, d:] = np.diagonal(k, d)
+    return ab
 
 
 def compliance_direct(bp, theta, xi):
@@ -213,6 +232,54 @@ class TestSolve:
         op = BandedOperator(m, element_stiffness())
         with pytest.raises(SolverError, match="smallest diagonal"):
             solve_compliance(op, np.zeros(m.n_elems))
+
+    def test_indefinite_system_reports_the_assembled_diagonal(self):
+        # the factorization overwrites the band in place; the message must
+        # name the assembled diagonal, not the -1.237e+00 a failed dpbtrf leaves
+        m = build_rect_mesh(12, 4)
+        op = BandedOperator(m, element_stiffness())
+        scale = np.ones(m.n_elems)
+        scale[20] = -3.0
+        assembled = np.diagonal(dense_free_stiffness(op, scale)).min()
+        assert f"{assembled:.3e}" == "-9.890e-01"
+        with pytest.raises(SolverError) as err:
+            op.solve(scale)
+        assert f"smallest diagonal {assembled:.3e})" in str(err.value)
+
+    def test_band_is_factored_in_place(self, monkeypatch):
+        m = build_lshape_mesh(12)
+        op = BandedOperator(m, element_stiffness())
+        calls = []
+
+        def recording(ab, *args, **kwargs):
+            result = scipy.linalg.cholesky_banded(ab, *args, **kwargs)
+            calls.append((ab, kwargs, result))
+            return result
+
+        monkeypatch.setattr(fem, "cholesky_banded", recording)
+        op.solve(np.ones(m.n_elems))
+        [(ab, kwargs, result)] = calls
+        assert ab.shape == (op.bandwidth + 1, op.n_free)
+        assert ab.flags.f_contiguous  # LAPACK's layout: no transposing copy
+        assert kwargs.get("overwrite_ab") is True
+        assert np.shares_memory(result, ab)
+
+    @pytest.mark.parametrize("mesh", [build_lshape_mesh(12), build_rect_mesh(12, 4)],
+                             ids=["lshape_rcm", "rect"])
+    def test_solve_is_bitwise_scipy_on_a_row_major_band(self, mesh):
+        op = BandedOperator(mesh, element_stiffness())
+        scale = SampleStream(62).child("band").rng().uniform(0.01, 1.0, mesh.n_elems) ** PENAL
+        f_free = op.f_free.copy()
+        ab = row_major_upper_band(dense_free_stiffness(op, scale), op.bandwidth)
+        chol = scipy.linalg.cholesky_banded(ab, lower=False)
+        u_ref = scipy.linalg.cho_solve_banded((chol, False), f_free)
+        u, c = op.solve(scale)
+        assert u[op.free_dofs].tobytes() == u_ref.tobytes()
+        assert not u[mesh.fixed_dofs].any()
+        assert c == float(f_free @ u_ref)
+        u_again, c_again = op.solve(scale)
+        assert u_again.tobytes() == u.tobytes() and c_again == c
+        assert op.f_free.tobytes() == f_free.tobytes()
 
 
 class TestSensitivityAndFilter:
