@@ -226,10 +226,10 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(path, **overrides) -> RunConfig:
     """The config at path, with the keys in overrides (the --seed/--iterations flags) replaced."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON at {path}:{err.lineno}:{err.colno}: {err.msg}")
     if isinstance(raw, dict):
@@ -303,7 +303,10 @@ def _summary_design(cfg: RunConfig, context, theta: np.ndarray, out_dir: Path) -
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}") from None
     problem, context = build_problem(cfg)
     start = time.perf_counter()
     try:

@@ -300,8 +300,9 @@ class BeamConfig:
     theta0: float = 0.5
 
     def __post_init__(self):
-        if self.c_max <= 0.0:
-            raise ValueError("c_max must be > 0")
+        for key in ("c_max", "p0_load", "e0_mean", "e0_std"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be > 0")
         check_counts(self, "nx", "ny", "n_grid")
         if self.variant not in ("rect", "lshape"):
             raise ValueError(f"unknown mesh variant {self.variant!r}")

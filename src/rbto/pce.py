@@ -4,9 +4,10 @@ Basis functions are tensor products of normalized probabilists' Hermite
 polynomials He_n(x)/sqrt(n!), orthonormal under the standard-normal weight,
 over a total-degree multi-index set. Coefficients are fitted by least squares
 on i.i.d. input samples, with the basis values from the three-term recurrence
-_hermite_rows (basis_matrix). A fitted model is converted once to monomial
-form, so evaluation (PceModel.evaluate_u) is nested Horner's rule over the
-input dimensions and builds no Hermite values.
+_hermite_rows (basis_matrix). A fitted model is converted once to a dense
+tensor of monomial coefficients, axis d holding the powers of input d, and
+evaluation (PceModel.evaluate_u) is nested Horner's rule over its axes, which
+builds no Hermite values.
 """
 from __future__ import annotations
 
@@ -94,35 +95,20 @@ def _power_coefficients(order: int) -> np.ndarray:
     return power
 
 
-def _horner_form(m: np.ndarray, d: int = 0):
-    """Nested Horner form of the polynomial with coefficients m[j_d, j_d+1, ...] of u_d**j_d * ...
-
-    A float if the polynomial is constant; else (e, terms), where terms[j] is
-    the coefficient of u_e**j in the same form over the dimensions after e, and
-    the highest power has a nonzero coefficient and is at least 1.
-    """
-    if m.ndim == 0:
-        return float(m)
-    powers = np.flatnonzero(m.reshape(len(m), -1).any(axis=1))
-    top = int(powers[-1]) if len(powers) else 0
-    if top == 0:
-        return _horner_form(m[0], d + 1)
-    return d, [_horner_form(m[j], d + 1) for j in range(top + 1)]
-
-
-def _horner(node, cols: np.ndarray, bufs: np.ndarray) -> np.ndarray:
-    """Evaluate an (e, terms) node of _horner_form at the points cols[:, i] into bufs[e]."""
-    e, terms = node
+def _horner(m: np.ndarray, cols: np.ndarray, bufs: np.ndarray) -> np.ndarray:
+    """Evaluate the polynomial with coefficients m[j_e, j_e+1, ...] of u_e**j_e * ...,
+    e = len(cols) - m.ndim, at the points cols[:, i] into bufs[e]; len(m) >= 2."""
+    e = len(cols) - m.ndim
     acc, x = bufs[e], cols[e]
 
-    def value(term):
-        return term if isinstance(term, float) else _horner(term, cols, bufs)
+    def value(j):
+        return m[j] if m.ndim == 1 else _horner(m[j], cols, bufs)
 
-    np.multiply(x, value(terms[-1]), out=acc)
-    for term in terms[-2:0:-1]:
-        acc += value(term)
+    np.multiply(x, value(-1), out=acc)
+    for j in range(len(m) - 2, 0, -1):
+        acc += value(j)
         acc *= x
-    acc += value(terms[0])
+    acc += value(0)
     return acc
 
 
@@ -133,7 +119,7 @@ class PceModel:
     indices: MultiIndexSet
     coefficients: np.ndarray
     condition: float = np.nan
-    _monomial: object = field(init=False, repr=False, compare=False)  # _horner_form of the model
+    _monomial: np.ndarray = field(init=False, repr=False, compare=False)  # [j_0, ...] of u_0**j_0 * ...
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.indices):
@@ -142,25 +128,25 @@ class PceModel:
             raise ValueError("coefficients must be finite")
         # coefficients of the products of Hermite orders, then of powers: one
         # contraction with the power coefficients per dimension, each taking the
-        # leading Hermite axis and appending its power axis
-        power = _power_coefficients(self.indices.order)
-        monomial = np.zeros((self.indices.order + 1,) * self.indices.dim)
+        # leading Hermite axis and appending its power axis; every axis runs to
+        # at least power 1, so an order-0 model is evaluated by the same rule
+        power = _power_coefficients(max(self.indices.order, 1))
+        monomial = np.zeros((len(power),) * self.indices.dim)
         monomial[tuple(np.array(self.indices.indices).T)] = self.coefficients
         for _ in range(self.indices.dim):
             monomial = np.tensordot(monomial, power, axes=(0, 0))
-        self._monomial = _horner_form(monomial)
+        self._monomial = monomial
 
     def evaluate_u(self, u: np.ndarray) -> np.ndarray:
         """Evaluate at the rows of an (n, dim) matrix of u-space points; shape (n,).
 
-        Nested Horner's rule on the monomial form: one multiply and one add
-        per monomial coefficient, on whole columns. The hybrid screen passes
-        blocks of reliability.EVAL_CHUNK rows, so every intermediate stays in
-        cache.
+        Nested Horner's rule on the dense monomial tensor, in place: one
+        multiply and one add per tensor entry, on whole columns, one buffer
+        row per input dimension. Entries outside the total-degree set are
+        exact zeros and add nothing. The hybrid screen passes blocks of
+        reliability.EVAL_CHUNK rows, so every intermediate stays in cache.
         """
         points = _points(u, self.indices)
-        if isinstance(self._monomial, float):
-            return np.full(len(points), self._monomial)
         cols = np.ascontiguousarray(points.T)
         return _horner(self._monomial, cols, np.empty_like(cols))
 

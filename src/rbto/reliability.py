@@ -4,16 +4,13 @@ Failure is g(theta; xi) <= 0 throughout. Every estimator evaluates the exact
 model only through LimitState.batch, one call per block of realizations
 (never per sample), so the evaluation count is the number of rows passed.
 Three estimators are provided:
-plain Monte Carlo, which evaluates one call per DRAW_BLOCK rows of its draw,
-multi-level subset sampling with a component-wise Metropolis kernel in
-u-space, and a hybrid scheme that screens Monte Carlo samples through a
+plain Monte Carlo, which evaluates one call per sampling.DRAW_BLOCK rows of
+its draw, multi-level subset sampling with a component-wise Metropolis kernel
+in u-space, and a hybrid scheme that screens Monte Carlo samples through a
 polynomial chaos surrogate and re-evaluates only those in the band
 |ghat| <= gamma with the exact model. Both Monte Carlo estimators draw their
-batch with RandomInput.blocks_u, which fills it on a worker thread in ranges
-of DRAW_BLOCK rows while the filled ones are evaluated, the caller drawing
-the ranges it would otherwise wait for. Up to DRAW_AHEAD * DRAW_BLOCK points
-the batch is the single draw sample_u; past that, each later DRAW_BLOCK-row
-range has a generator of its own, so these two constants define the batch.
+batch with RandomInput.blocks_u on the estimate's stream.child("mc"); the
+batch's layout (DRAW_AHEAD and DRAW_BLOCK) is defined in sampling.
 start_draw starts that batch before the estimate is called (the optimizer
 starts each refresh's batch right after the refresh before it) and
 estimate(..., draw) reads it.
@@ -26,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pce
-from .sampling import RandomInput, SampleStream
+from .sampling import DRAW_BLOCK, RandomInput, SampleStream
 
 
 MAX_COUNT = 10**9  # upper bound of every count setting (sample sizes, iterations, mesh sizes)
 EVAL_CHUNK = 1 << 14  # rows per block when screening a batch with the fitted surrogate
-DRAW_BLOCK = 4 * EVAL_CHUNK  # rows per fill of a Monte Carlo draw past its first (512 kB at dim 1)
 
 
 def check_counts(cfg, *keys: str) -> None:
@@ -135,12 +131,16 @@ class SubsetStallError(RuntimeError):
         self.estimate = estimate
 
 
+def _start_batch(input: RandomInput, n_samples: int, stream: SampleStream):
+    """Start the Monte Carlo batch of an estimate on stream; (its stream, size, blocks)."""
+    mc = stream.child("mc")
+    return mc, n_samples, input.blocks_u(n_samples, mc)
+
+
 def _batch_blocks(input: RandomInput, n_samples: int, stream: SampleStream, draw):
     """The blocks of an estimate's Monte Carlo batch: `draw` if one was started ahead, else a new draw."""
+    drawn, n_drawn, blocks = draw or _start_batch(input, n_samples, stream)
     mc = stream.child("mc")
-    if draw is None:
-        return input.blocks_u(n_samples, mc, DRAW_BLOCK)
-    drawn, n_drawn, blocks = draw
     if (drawn, n_drawn) != (mc, n_samples):
         raise ValueError(f"a draw of {n_drawn} points on stream {drawn.path} was handed to an "
                          f"estimate of {n_samples} points on stream {mc.path}")
@@ -210,55 +210,39 @@ def subset_estimate(
 
     u = input.sample_u(n0, stream.child("mc"))
     gs = g.batch(theta, input.from_u(u))
-
-    order = np.argsort(gs, kind="stable")
-    u, gs = u[order], gs[order]
-    b_j = float(gs[n_seed - 1])
-    thresholds = [b_j]
-    levels = 0
-
-    while b_j > 0.0:
-        if levels >= cfg.max_levels:
-            n_fail = int(np.sum(gs <= 0.0))
-            partial = ReliabilityEstimate(
-                p_hat=(n_fail / len(gs)) * cfg.p0**levels,
-                method="subset",
-                levels=levels,
-                n_exact_evals=g.n_evals - nd0,
-                thresholds=tuple(thresholds),
-            )
+    thresholds = []
+    for levels in range(cfg.max_levels + 1):
+        order = np.argsort(gs, kind="stable")
+        u, gs = u[order], gs[order]
+        b_j = float(gs[n_seed - 1])
+        thresholds.append(b_j)
+        est = ReliabilityEstimate(
+            p_hat=(int(np.sum(gs <= 0.0)) / len(gs)) * cfg.p0**levels,
+            method="subset",
+            levels=levels,
+            n_exact_evals=g.n_evals - nd0,
+            thresholds=tuple(thresholds),
+        )
+        if not b_j > 0.0:
+            return est
+        if levels == cfg.max_levels:
             raise SubsetStallError(
                 f"threshold stalled at b={b_j:.6g} after {levels} levels "
                 f"(limit state may be bounded away from 0)",
-                partial,
+                est,
             )
         # chains in lockstep: state (n_seed, d); population = all visited states
         rng = stream.child("mm", levels).rng()
-        cur_u, cur_g = u[:n_seed].copy(), gs[:n_seed].copy()
-        pop_u, pop_g = [cur_u.copy()], [cur_g.copy()]
+        cur_u, cur_g = u[:n_seed], gs[:n_seed]
+        pop_u, pop_g = [cur_u], [cur_g]
         for _ in range(chain_len - 1):
             cur_u, cur_g = _metropolis_step(
                 cur_u, cur_g, b_j, g, theta, input, cfg.proposal_std, rng
             )
-            pop_u.append(cur_u.copy())
-            pop_g.append(cur_g.copy())
+            pop_u.append(cur_u)
+            pop_g.append(cur_g)
         u = np.concatenate(pop_u)
         gs = np.concatenate(pop_g)
-
-        order = np.argsort(gs, kind="stable")
-        u, gs = u[order], gs[order]
-        levels += 1
-        b_j = float(gs[n_seed - 1])
-        thresholds.append(b_j)
-
-    n_fail = int(np.sum(gs <= 0.0))
-    return ReliabilityEstimate(
-        p_hat=(n_fail / len(gs)) * cfg.p0**levels,
-        method="subset",
-        levels=levels,
-        n_exact_evals=g.n_evals - nd0,
-        thresholds=tuple(thresholds),
-    )
 
 
 def hybrid_estimate(
@@ -318,8 +302,7 @@ def start_draw(input: RandomInput, cfg: EstimatorConfig, stream: SampleStream):
     """
     if isinstance(cfg, SubsetConfig):
         return None
-    mc = stream.child("mc")
-    return mc, cfg.n_samples, input.blocks_u(cfg.n_samples, mc, DRAW_BLOCK)
+    return _start_batch(input, cfg.n_samples, stream)
 
 
 def estimate(

@@ -8,12 +8,12 @@ deviation and are moment-matched:
 
     sigma_ln^2 = ln(1 + (std/mean)^2),   mu_ln = ln(mean) - sigma_ln^2 / 2.
 
-RandomInput.blocks_u draws a large u-space batch into one array on two
-threads: a worker queues every fill at the start and exits after the last,
-while the caller, whenever the range it reads next is not yet filled, takes
-the last fill still queued and draws it itself. The first fill comes from the
-stream's own generator and each later block from a generator of its own, so
-the bits do not depend on which thread drew a block; nothing has to be closed.
+RandomInput.blocks_u draws a Monte Carlo batch into one array on two threads:
+a worker queues every fill at the start and exits after the last (nothing is
+closed); whenever the range the caller reads next is not filled, it draws the
+last fill still queued itself. The first fill (DRAW_AHEAD blocks) comes from
+the stream's own generator and each later block of DRAW_BLOCK rows from one
+of its own, so these two constants fix the bits whichever thread drew a block.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DRAW_BLOCK = 1 << 16  # rows per fill of a draw past its first (512 kB at dim 1)
 DRAW_AHEAD = 8  # blocks a draw fills in its first call, from the stream's own generator
 
 
@@ -144,24 +145,24 @@ class RandomInput:
             raise ValueError("sample count must be >= 1")
         return stream.rng().standard_normal((n, self.dim))
 
-    def blocks_u(self, n: int, stream: SampleStream, rows: int):
+    def blocks_u(self, n: int, stream: SampleStream):
         """Start drawing n u-space points; return an iterator over them in ranges.
 
-        The first fill, min(n, DRAW_AHEAD * rows) rows, is sample_u of that
-        size; fill b >= 1 is the next `rows` rows (fewer at the end), drawn by
-        stream.child(b).rng(). So a draw of at most DRAW_AHEAD * rows points
-        equals sample_u(n, stream) bit for bit, and DRAW_AHEAD and `rows` define
-        the points past it. Every generator is made here, on the caller's
-        thread, and every fill of one (n, dim) array is queued at once on one
-        worker thread, the first in one call because a busy caller can hold
-        the worker off the GIL for milliseconds. While the range it reads next
-        is not filled, the caller cancels the last fill still queued and draws
-        it itself. Each range is yielded once filled and stays valid. The
-        worker exits after its last fill, read or not.
+        The first fill, min(n, DRAW_AHEAD * DRAW_BLOCK) rows, is sample_u of
+        that size; fill b >= 1 is the next DRAW_BLOCK rows (fewer at the end),
+        drawn by stream.child(b).rng(). So a draw of at most DRAW_AHEAD *
+        DRAW_BLOCK points equals sample_u(n, stream) bit for bit, and the two
+        constants define the points past it. Every generator is made here, on
+        the caller's thread, and every fill of one (n, dim) array is queued at
+        once on one worker thread, the first in one call because a busy caller
+        can hold the worker off the GIL for milliseconds. While the range it
+        reads next is not filled, the caller cancels the last fill still queued
+        and draws it itself. Each range is yielded once filled and stays valid.
+        The worker exits after its last fill, read or not.
         """
         if n < 1:
             raise ValueError("sample count must be >= 1")
-        edges = [0, *range(min(DRAW_AHEAD * rows, n), n, rows), n]
+        edges = [0, *range(min(DRAW_AHEAD * DRAW_BLOCK, n), n, DRAW_BLOCK), n]
         rngs = [stream.rng(), *(stream.child(b).rng() for b in range(1, len(edges) - 1))]
         u = np.empty((n, self.dim))
         ranges = [u[a:b] for a, b in zip(edges, edges[1:])]

@@ -31,8 +31,9 @@ class TrussProblem:
     theta0: tuple[float, float] = (0.1, np.pi / 4)
 
     def __post_init__(self):
-        if self.c0 <= 0.0:
-            raise ValueError("c0 must be > 0")
+        for key in ("c0", "p_load"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be > 0")
         lam_ok = len(self.theta0) == 2 and LOWER[0] <= self.theta0[0] <= UPPER[0]
         if not (lam_ok and LOWER[1] <= self.theta0[1] <= UPPER[1]):
             raise ValueError(

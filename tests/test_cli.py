@@ -7,8 +7,8 @@ import pytest
 
 from rbto import fem
 from rbto.cli import ConfigError, load_config, main, parse_config
-from rbto.reliability import DRAW_BLOCK, HybridConfig
-from rbto.sampling import DRAW_AHEAD
+from rbto.reliability import HybridConfig
+from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK
 
 BEAM_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("beam_*.json"))
 
@@ -99,9 +99,14 @@ class TestConfigParsing:
         ({"problem": "beam", "problem_params": {"nx": 10**30}}, "nx must be <= 1000000000"),
         ({"eta_f": -1}, "eta_f must be > 0"),
         ({"eta_f": 0}, "eta_f must be > 0"),
+        ({"problem": "beam", "problem_params": {"e0_std": -0.1}}, "e0_std must be > 0"),
+        ({"problem": "lbeam", "problem_params": {"e0_mean": 0}}, "e0_mean must be > 0"),
+        ({"problem": "beam", "problem_params": {"p0_load": 0}}, "p0_load must be > 0"),
+        ({"problem_params": {"p_load": 0}}, "p_load must be > 0"),
     ], ids=["iterations", "p0", "n_grid", "n_fit", "theta0", "kappa_c", "iterations_float",
             "seed_bool", "posthoc_samples", "out_dir", "problem_list", "method_list",
-            "iterations_huge", "n_samples_huge", "nx_huge", "eta_f_negative", "eta_f_zero"])
+            "iterations_huge", "n_samples_huge", "nx_huge", "eta_f_negative", "eta_f_zero",
+            "beam_e0_std", "lbeam_e0_mean", "beam_p0_load", "truss_p_load"])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
         assert_config_error(tmp_path, capsys, ["run", path], message)
@@ -269,6 +274,25 @@ class TestRunCommand:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("content", [None, b'{"problem": "truss", "seed": 1, "out_dir": "\xff"}'],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert_config_error(tmp_path, capsys, ["run", str(path)], "cannot read config file")
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["run", write_config(tmp_path, truss_smoke_config()), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "cannot create output directory" in err
+        assert out.read_text() == "kept"
 
     def test_numerical_failure_exits_3_with_partial_history(self, tmp_path, capsys):
         # a vanished cross-section fails every draw: g = -inf cannot be fitted

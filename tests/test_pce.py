@@ -157,3 +157,24 @@ def test_horner_evaluation_matches_basis_matrix(dim, order):
     values = PceModel(idx, coef).evaluate_u(u)
     assert values.shape == (len(u),)
     assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("dim, zero", [(2, lambda t: t[0] > 0), (3, lambda t: t[0] + t[1] > 0)],
+                         ids=["2d_no_u0", "3d_only_u2"])
+def test_horner_evaluation_with_zero_planes(dim, zero):
+    # coefficients that vanish on every term with a power of u0 (2-D), or on
+    # every term but the pure u2 ones (3-D): whole planes of the monomial tensor are zero
+    idx = multi_indices(dim, 4)
+    stream = SampleStream(73).child("planes", dim)
+    coef = stream.child("c").rng().standard_normal(len(idx))
+    coef[[i for i, t in enumerate(idx.indices) if zero(t)]] = 0.0
+    u = stream.child("u").rng().standard_normal((5000, dim))
+    reference = basis_matrix(u, idx) @ coef
+    values = PceModel(idx, coef).evaluate_u(u)
+    assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_order_zero_model_is_its_constant():
+    u = SampleStream(74).rng().standard_normal((100, 3))
+    values = PceModel(multi_indices(3, 0), np.array([-1.7])).evaluate_u(u)
+    assert values.tolist() == [-1.7] * 100

@@ -4,7 +4,6 @@ from scipy import stats
 
 from rbto import sgd
 from rbto.reliability import (
-    DRAW_BLOCK,
     EVAL_CHUNK,
     HybridConfig,
     LimitState,
@@ -18,7 +17,7 @@ from rbto.reliability import (
     subset_estimate,
 )
 from rbto.pce import PceFitError
-from rbto.sampling import DRAW_AHEAD, Lognormal, Normal, RandomInput, SampleStream
+from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK, Lognormal, Normal, RandomInput, SampleStream
 from rbto.sgd import OptimizerConfig, OptimizerError, run
 from rbto.truss import TrussProblem, failure_probability, limit_state, make_problem
 
@@ -29,7 +28,7 @@ PAST_FIRST_FILL = (DRAW_AHEAD + 2) * DRAW_BLOCK  # a batch size two draw blocks 
 
 def whole_batch(input, n, stream):
     """The Monte Carlo batch of an estimate of n points on stream, read at once."""
-    return np.concatenate(list(input.blocks_u(n, stream.child("mc"), DRAW_BLOCK)))
+    return np.concatenate(list(input.blocks_u(n, stream.child("mc"))))
 
 
 def shifted_limit_state(b):
@@ -149,8 +148,11 @@ class TestSubset:
         g = constant_limit_state(1.0)
         with pytest.raises(SubsetStallError) as exc:
             subset_estimate(g, None, U1, SubsetConfig(100, 0.1, max_levels=3), SampleStream(6))
-        assert exc.value.estimate.p_hat == 0.0
-        assert exc.value.estimate.levels == 3
+        partial = exc.value.estimate
+        assert partial.p_hat == 0.0
+        assert partial.levels == 3
+        assert len(partial.thresholds) == partial.levels + 1
+        assert partial.n_exact_evals == g.n_evals
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

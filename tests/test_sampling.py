@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbto import sampling
 from rbto.sampling import DRAW_AHEAD, Lognormal, Normal, RandomInput, SampleStream
 
 
@@ -65,29 +66,34 @@ def test_stream_state_is_the_seed_sequence_of_its_labels(seed, path):
     assert SampleStream(seed, tuple(path)).rng().bit_generator.state == expected
 
 
-BLOCK_ROWS = 1000
+BLOCK_ROWS = 1000  # sampling.DRAW_BLOCK in the blocks_u tests, so each sees many fills
 FIRST_FILL = DRAW_AHEAD * BLOCK_ROWS  # rows of a draw's first fill, the single draw sample_u
 
 
-def drawn_blocks(ri, n, stream, rows=BLOCK_ROWS):
-    """The ranges blocks_u(n, stream, rows) yields, by its contract: sample_u for
-    the first fill, then the generator of stream.child(b) for block b >= 1."""
-    first = min(DRAW_AHEAD * rows, n)
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(sampling, "DRAW_BLOCK", BLOCK_ROWS)
+
+
+def drawn_blocks(ri, n, stream):
+    """The ranges blocks_u(n, stream) yields under small_blocks, by its contract:
+    sample_u for the first fill, then the generator of stream.child(b) for block b >= 1."""
+    first = min(FIRST_FILL, n)
     blocks = [ri.sample_u(first, stream)]
-    for b, start in enumerate(range(first, n, rows), start=1):
-        blocks.append(stream.child(b).rng().standard_normal((min(rows, n - start), ri.dim)))
+    for b, start in enumerate(range(first, n, BLOCK_ROWS), start=1):
+        blocks.append(stream.child(b).rng().standard_normal((min(BLOCK_ROWS, n - start), ri.dim)))
     return blocks
 
 
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5,
                                FIRST_FILL, FIRST_FILL + 1, FIRST_FILL + 3 * BLOCK_ROWS + 5])
-def test_blocks_u_concatenate_to_sample_u(dim, n):
+def test_blocks_u_concatenate_to_sample_u(dim, n, small_blocks):
     # up to the first fill the blocks are the single draw sample_u bit for bit;
     # each later block comes from its own generator
     ri = RandomInput((Normal(),) * dim)
     stream = SampleStream(17).child("blocks")
-    blocks = list(ri.blocks_u(n, stream, BLOCK_ROWS))
+    blocks = list(ri.blocks_u(n, stream))
     lengths = [min(FIRST_FILL, n)]  # the first fill covers DRAW_AHEAD blocks
     while sum(lengths) < n:
         lengths.append(min(BLOCK_ROWS, n - sum(lengths)))
@@ -111,7 +117,7 @@ class _TracedRng:
         self.release.set()  # the first fill that is not held lets the held one go
 
 
-def test_blocks_u_read_after_a_delay_equals_read_at_once(monkeypatch, threads_left):
+def test_blocks_u_read_after_a_delay_equals_read_at_once(monkeypatch, threads_left, small_blocks):
     # the bits do not depend on which thread drew a block: read at once, with the
     # worker held in its first fill, the caller draws the blocks it would wait
     # for; read after the worker has exited, the worker drew every block
@@ -129,7 +135,7 @@ def test_blocks_u_read_after_a_delay_equals_read_at_once(monkeypatch, threads_le
             return _TracedRng(shipped_rng(s), log, release, hold_first and s == stream)
 
         monkeypatch.setattr(SampleStream, "rng", traced)
-        blocks = ri.blocks_u(n, stream, BLOCK_ROWS)
+        blocks = ri.blocks_u(n, stream)
         monkeypatch.setattr(SampleStream, "rng", shipped_rng)
         return blocks, log
 
@@ -142,7 +148,7 @@ def test_blocks_u_read_after_a_delay_equals_read_at_once(monkeypatch, threads_le
     assert len(log) == 7 and caller not in log
 
 
-def test_blocks_u_concurrent_draws_under_fast_switching(threads_left):
+def test_blocks_u_concurrent_draws_under_fast_switching(threads_left, small_blocks):
     # four draws read in lockstep (more workers than cores) with a short switch
     # interval: whichever thread takes a block, each is drawn once, by its own generator
     ri = RandomInput((Normal(),))
@@ -153,7 +159,7 @@ def test_blocks_u_concurrent_draws_under_fast_switching(threads_left):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            draws = [ri.blocks_u(n, stream, BLOCK_ROWS) for stream in streams]
+            draws = [ri.blocks_u(n, stream) for stream in streams]
             rounds = list(zip(*draws))  # one block of each draw at a time
             read = [np.concatenate(blocks) for blocks in zip(*rounds)]
             assert all(np.array_equal(a, b) for a, b in zip(read, expected))
@@ -162,29 +168,29 @@ def test_blocks_u_concurrent_draws_under_fast_switching(threads_left):
     assert threads_left() == 0
 
 
-def test_blocks_u_unread_draw_leaves_no_thread(threads_left):
+def test_blocks_u_unread_draw_leaves_no_thread(threads_left, small_blocks):
     ri = RandomInput((Normal(),))
     n = FIRST_FILL + 3 * BLOCK_ROWS + 5
-    draw = ri.blocks_u(n, SampleStream(4), BLOCK_ROWS)
+    draw = ri.blocks_u(n, SampleStream(4))
     assert threads_left() == 0  # the worker exits after its last fill, read or not
     assert np.array_equal(np.concatenate(list(draw)), np.concatenate(drawn_blocks(ri, n, SampleStream(4))))
 
 
 def test_blocks_u_rejects_empty_draw():
     with pytest.raises(ValueError, match="sample count"):
-        RandomInput((Normal(),)).blocks_u(0, SampleStream(1), BLOCK_ROWS)
+        RandomInput((Normal(),)).blocks_u(0, SampleStream(1))
 
 
-def test_blocks_u_consumer_that_breaks_leaves_no_thread(threads_left):
-    for _ in RandomInput((Normal(),)).blocks_u(FIRST_FILL + 3 * BLOCK_ROWS + 5, SampleStream(2), BLOCK_ROWS):
+def test_blocks_u_consumer_that_breaks_leaves_no_thread(threads_left, small_blocks):
+    for _ in RandomInput((Normal(),)).blocks_u(FIRST_FILL + 3 * BLOCK_ROWS + 5, SampleStream(2)):
         assert threads_left(timeout=0.0) <= 1  # one worker at most
         break
     assert threads_left() == 0
 
 
-def test_blocks_u_consumer_that_raises_leaves_no_thread(threads_left):
+def test_blocks_u_consumer_that_raises_leaves_no_thread(threads_left, small_blocks):
     with pytest.raises(RuntimeError, match="consumer failed"):
-        for _ in RandomInput((Normal(),)).blocks_u(FIRST_FILL + 3 * BLOCK_ROWS + 5, SampleStream(3), BLOCK_ROWS):
+        for _ in RandomInput((Normal(),)).blocks_u(FIRST_FILL + 3 * BLOCK_ROWS + 5, SampleStream(3)):
             raise RuntimeError("consumer failed")
     assert threads_left() == 0
 

@@ -1,11 +1,14 @@
 """The study scripts still run against the package's current interface."""
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rbto.cli import main as rbto
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -45,3 +48,18 @@ def test_beam_study_builds_each_run(variant):
         assert cfg.optimizer.iterations == 10
         assert (cfg.optimizer.kappa_f > 0) == (mode == "rbto")
         assert prob.dim == bp.mesh.n_elems
+
+
+def test_same_outputs_tells_reruns_from_another_seed(tmp_path, capsys):
+    config = tmp_path / "truss.json"
+    config.write_text(json.dumps({
+        "problem": "truss", "seed": 4, "iterations": 60, "m": 20,
+        "estimator": {"method": "mc", "n_samples": 2000}, "posthoc_samples": 5000,
+    }))
+    for name, seed in (("a", "4"), ("b", "4"), ("c", "5")):
+        assert rbto(["run", str(config), "--seed", seed, "--out", str(tmp_path / name)]) == 0
+    same_outputs = load_script("same_outputs").main
+    capsys.readouterr()
+    assert same_outputs([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert same_outputs([str(tmp_path / "a"), str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "differs: history.csv"
