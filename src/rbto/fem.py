@@ -15,8 +15,9 @@ single factorization per design.
 Dof ordering: mesh dofs are numbered 2*node + (0 for x, 1 for y), nodes
 x-major. The banded solver numbers the free dofs once per mesh, in natural
 order or in reverse Cuthill-McKee order of the node graph, whichever gives
-the narrower band (BandedOperator.free_dofs); displacement vectors returned
-to callers always use the mesh numbering.
+the narrower band (BandedOperator.free_dofs), and keeps the stiffness in
+LAPACK's lower band storage; displacement vectors returned to callers always
+use the mesh numbering.
 """
 from __future__ import annotations
 
@@ -222,8 +223,9 @@ class BandedOperator:
 
     The stiffness sparsity pattern is fixed by the mesh, so per-design work
     reduces to scattering scaled element matrices into a column-major banded
-    array and a banded Cholesky factorization that LAPACK runs on that array in
-    place (no transposing copy). The free dofs are numbered once, in
+    array in LAPACK's lower storage (the diagonal in row 0) and a banded
+    Cholesky factorization that LAPACK runs on that array in place (no
+    transposing copy). The free dofs are numbered once, in
     `free_dofs` order (see `band_order`): the L-bracket's RCM order narrows
     its band from 147 to 103, the half-beam keeps its natural order (85).
     Loads are gathered and displacements scattered through that order.
@@ -239,14 +241,14 @@ class BandedOperator:
         i_idx = np.repeat(mesh.edofs, 8, axis=1).ravel()
         j_idx = np.tile(mesh.edofs, (1, 8)).ravel()
         ri, rj = dof_map[i_idx], dof_map[j_idx]
-        upper = (ri >= 0) & (rj >= 0) & (ri <= rj)
+        lower = (ri >= 0) & (rj >= 0) & (ri >= rj)
         self.n_free = n_free
-        self.bandwidth = int((rj[upper] - ri[upper]).max())
-        # column-major (bw+1, n) upper band: K[ri, rj] is entry (bw + ri - rj, rj),
-        # stored at rj*(bw+1) + bw + ri - rj
-        self.band_pos = (rj[upper] + 1) * self.bandwidth + ri[upper]
-        self.entry_elem = np.repeat(np.arange(mesh.n_elems), 64)[upper]
-        self.entry_ke = np.tile(ke.ravel(), mesh.n_elems)[upper]
+        self.bandwidth = int((ri[lower] - rj[lower]).max())
+        # column-major (bw+1, n) lower band: K[ri, rj] is entry (ri - rj, rj),
+        # stored at rj*(bw+1) + ri - rj
+        self.band_pos = rj[lower] * self.bandwidth + ri[lower]
+        self.entry_elem = np.repeat(np.arange(mesh.n_elems), 64)[lower]
+        self.entry_ke = np.tile(ke.ravel(), mesh.n_elems)[lower]
         self.f_free = mesh.load_vector[self.free_dofs]
 
     def solve(self, scale: np.ndarray) -> tuple[np.ndarray, float]:
@@ -258,15 +260,15 @@ class BandedOperator:
         ab = np.bincount(
             self.band_pos, weights=vals, minlength=(self.bandwidth + 1) * self.n_free
         ).reshape(self.n_free, self.bandwidth + 1).T
-        smallest = ab[-1].min()  # assembled diagonal; the factorization overwrites ab
+        smallest = ab[0].min()  # assembled diagonal; the factorization overwrites ab
         try:
-            chol = cholesky_banded(ab, lower=False, overwrite_ab=True, check_finite=False)
+            chol = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
         except LinAlgError as err:
             raise SolverError(
                 f"stiffness matrix not positive definite "
                 f"(smallest diagonal {smallest:.3e}): {err}"
             ) from err
-        u_free = cho_solve_banded((chol, False), self.f_free, check_finite=False)
+        u_free = cho_solve_banded((chol, True), self.f_free, check_finite=False)
         u = np.zeros(self.mesh.n_dofs)
         u[self.free_dofs] = u_free
         compliance = float(self.f_free @ u_free)
@@ -281,7 +283,7 @@ def solve_compliance(op: BandedOperator, rho: np.ndarray) -> tuple[np.ndarray, f
 def compliance_sensitivity(op: BandedOperator, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """dC/drho per element at unit modulus; compliance is self-adjoint so no extra solve."""
     ue = u[op.mesh.edofs]
-    energies = np.einsum("ei,ij,ej->e", ue, op.ke, ue)
+    energies = np.einsum("ij,ij->i", ue @ op.ke, ue)
     return -PENAL * rho ** (PENAL - 1.0) * energies
 
 
@@ -347,6 +349,7 @@ class BeamProblem:
         )
         self._cache_key: bytes | None = None
         self._cache: tuple[float, np.ndarray] | None = None
+        self._rho: np.ndarray | None = None  # filtered density of the cached design
         self.n_solves = 0
 
     @property
@@ -369,6 +372,7 @@ class BeamProblem:
             dc1 = compliance_sensitivity(self.op, rho, u)
             self._cache_key = key
             self._cache = (c1, dc1)
+            self._rho = rho
         return self._cache
 
     def limit_state_batch(self, theta, xis: np.ndarray) -> np.ndarray:
@@ -379,14 +383,13 @@ class BeamProblem:
     def objective_batch(self, theta, xis: np.ndarray) -> tuple[float, np.ndarray]:
         """Batch-mean sampled compliance plus the deterministic mass term, with gradient.
 
-        The samples enter only through s = mean(P^2/E0), so one filter product
-        pair serves the whole batch: value s*C1 + mass, gradient W^T(s dC1) + dmass.
+        The samples enter only through s = mean(P^2/E0), so one backward filter
+        product serves the whole batch (rho is kept with the cached unit solve):
+        value s*C1 + mass, gradient W^T(s dC1) + dmass.
         """
-        theta = np.asarray(theta, dtype=float)
         c1, dc1 = self.unit_solution(theta)
         s = float(np.mean(self.load_multiplier(xis[:, 0]) ** 2 / xis[:, 1]))
-        rho = filter_forward(self.weights, theta)
-        value = s * c1 + self.config.tau * self.elem_volume * float(np.sum(rho))
+        value = s * c1 + self.config.tau * self.elem_volume * float(np.sum(self._rho))
         grad = filter_backward(self.weights, s * dc1) + self._mass_grad
         return value, grad
 
@@ -396,13 +399,11 @@ class BeamProblem:
         E[P^2] = P0^2 (1 + c^2) for the standard-normal load fluctuation and
         E[1/E0] = exp(sigma_ln^2)/mean for the lognormal modulus.
         """
-        theta = np.asarray(theta, dtype=float)
         c1, _ = self.unit_solution(theta)
         cfg = self.config
         e0 = self.random_input.components[1]
         mean_scale = cfg.p0_load**2 * (1.0 + cfg.load_coeff**2) * np.exp(e0.sigma_ln**2) / e0.mean
-        rho = filter_forward(self.weights, theta)
-        return float(mean_scale * c1 + cfg.tau * self.elem_volume * np.sum(rho))
+        return float(mean_scale * c1 + cfg.tau * self.elem_volume * np.sum(self._rho))
 
     def make_problem(self) -> OptimizationProblem:
         n_e = self.mesh.n_elems

@@ -67,12 +67,12 @@ def dense_free_stiffness(op, scale):
     return k[np.ix_(op.free_dofs, op.free_dofs)]
 
 
-def row_major_upper_band(k, bw):
-    """The (bw+1, n) upper band of k in C order: ab[bw + i - j, j] = k[i, j] for i <= j."""
+def row_major_lower_band(k, bw):
+    """The (bw+1, n) lower band of k in C order: ab[i - j, j] = k[i, j] for i >= j."""
     n = len(k)
     ab = np.zeros((bw + 1, n))
     for d in range(bw + 1):
-        ab[bw - d, d:] = np.diagonal(k, d)
+        ab[d, : n - d] = np.diagonal(k, -d)
     return ab
 
 
@@ -262,6 +262,7 @@ class TestSolve:
         assert ab.shape == (op.bandwidth + 1, op.n_free)
         assert ab.flags.f_contiguous  # LAPACK's layout: no transposing copy
         assert kwargs.get("overwrite_ab") is True
+        assert kwargs.get("lower") is True
         assert np.shares_memory(result, ab)
 
     @pytest.mark.parametrize("mesh", [build_lshape_mesh(12), build_rect_mesh(12, 4)],
@@ -270,9 +271,9 @@ class TestSolve:
         op = BandedOperator(mesh, element_stiffness())
         scale = SampleStream(62).child("band").rng().uniform(0.01, 1.0, mesh.n_elems) ** PENAL
         f_free = op.f_free.copy()
-        ab = row_major_upper_band(dense_free_stiffness(op, scale), op.bandwidth)
-        chol = scipy.linalg.cholesky_banded(ab, lower=False)
-        u_ref = scipy.linalg.cho_solve_banded((chol, False), f_free)
+        ab = row_major_lower_band(dense_free_stiffness(op, scale), op.bandwidth)
+        chol = scipy.linalg.cholesky_banded(ab, lower=True)
+        u_ref = scipy.linalg.cho_solve_banded((chol, True), f_free)
         u, c = op.solve(scale)
         assert u[op.free_dofs].tobytes() == u_ref.tobytes()
         assert not u[mesh.fixed_dofs].any()
@@ -321,6 +322,23 @@ class TestSensitivityAndFilter:
                 values.append(c)
             assert values[0] > values[1] > values[2]  # decreasing in density
             assert values[0] - 2 * values[1] + values[2] > 0.0  # convex
+
+    @pytest.mark.parametrize("config", [BeamConfig(nx=24, ny=8), lbeam_config(n_grid=24)],
+                             ids=["rect", "lshape_rcm"])
+    def test_sensitivity_matches_the_three_operand_contraction(self, config):
+        bp = BeamProblem(config)
+        if config.variant == "lshape":
+            assert not np.array_equal(bp.op.free_dofs, bp.mesh.free_dofs)  # RCM order
+        rho = SampleStream(43).child("energy").rng().uniform(0.1, 1.0, bp.mesh.n_elems)
+        u, _ = solve_compliance(bp.op, rho)
+        ue = u[bp.mesh.edofs]
+        factor = PENAL * rho ** (PENAL - 1.0)
+        ref = -factor * np.einsum("ei,ij,ej->e", ue, bp.op.ke, ue)
+        # relative to the sum of the terms' magnitudes: an element's rigid motion
+        # cancels in u_e^T K_e u_e, so the energy itself can sit far below its terms
+        terms = factor * np.einsum("ei,ij,ej->e", np.abs(ue), np.abs(bp.op.ke), np.abs(ue))
+        grad = compliance_sensitivity(bp.op, rho, u)
+        assert np.all(np.abs(grad - ref) <= 1e-12 * terms)
 
     def test_zero_displacement_zero_sensitivity(self):
         bp = BeamProblem(BeamConfig(nx=6, ny=2))
@@ -406,6 +424,25 @@ class TestBeamProblem:
         vals = scale * c1 + bp.config.tau * bp.elem_volume * rho.sum()
         se = vals.std() / np.sqrt(len(vals))
         assert abs(exact - vals.mean()) < 3 * se
+
+    def test_filtered_density_computed_once_per_design(self, monkeypatch):
+        bp = BeamProblem(lbeam_config(n_grid=12))
+        theta = SampleStream(5).child("t").rng().uniform(0.2, 0.9, bp.mesh.n_elems)
+        xis = bp.random_input.sample(4, SampleStream(5).child("xi"))
+        rho = filter_forward(bp.weights, theta)
+        calls = []
+
+        def counting(weights, x):
+            calls.append(x)
+            return filter_forward(weights, x)
+
+        monkeypatch.setattr(fem, "filter_forward", counting)
+        value, _ = bp.objective_batch(theta, xis)
+        bp.objective_expected(theta)
+        assert len(calls) == 1  # the solve's own filter product, reused by both
+        c1, _ = bp.unit_solution(theta)
+        s = float(np.mean(bp.load_multiplier(xis[:, 0]) ** 2 / xis[:, 1]))
+        assert value == s * c1 + bp.config.tau * bp.elem_volume * float(np.sum(rho))
 
     def test_mass_gradient_exact(self):
         bp = BeamProblem(BeamConfig(nx=6, ny=2, tau=0.3))

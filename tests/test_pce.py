@@ -43,11 +43,13 @@ def test_hermite_second_order_at_zero():
     assert hermite_table([0.0], 2)[0, 2] == pytest.approx(-0.7071068, abs=1e-7)
 
 
-def test_hermite_orthonormality_monte_carlo():
-    u = SampleStream(101).child("ortho").rng().standard_normal(10**6)
-    psi = hermite_table(u, 3)
-    inner = np.mean(psi[:, 2] * psi[:, 3])
-    assert abs(inner) < 5e-3
+def test_hermite_orthonormality_gauss_quadrature():
+    # 8-point Gauss-Hermite (probabilists') quadrature integrates the degree <= 6
+    # products exactly against the standard normal density
+    nodes, weights = np.polynomial.hermite_e.hermegauss(8)
+    psi = hermite_table(nodes, 3)
+    gram = psi.T @ (psi * (weights / np.sqrt(2.0 * np.pi))[:, None])
+    assert np.abs(gram - np.eye(4)).max() < 1e-12
 
 
 def test_empirical_gram_is_identity():

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,52 @@ def test_same_outputs_tells_reruns_from_another_seed(tmp_path, capsys):
     assert same_outputs([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     assert same_outputs([str(tmp_path / "a"), str(tmp_path / "c")]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "differs: history.csv"
+
+
+def test_same_outputs_rtol_tells_rounding_from_a_changed_result(tmp_path, capsys):
+    config = tmp_path / "truss.json"
+    config.write_text(json.dumps({
+        "problem": "truss", "seed": 4, "iterations": 60, "m": 20,
+        "estimator": {"method": "mc", "n_samples": 2000}, "posthoc_samples": 5000,
+    }))
+    run = tmp_path / "run"
+    assert rbto(["run", str(config), "--out", str(run)]) == 0
+    same_outputs = load_script("same_outputs").main
+
+    rounded = tmp_path / "rounded"
+    shutil.copytree(run, rounded)
+    summary = json.loads((rounded / "summary.json").read_text())
+    summary["design"]["objective"] *= 1.0 + 1e-13
+    (rounded / "summary.json").write_text(json.dumps(summary, indent=2))
+    capsys.readouterr()
+    assert same_outputs([str(run), str(rounded)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "differs: summary.json"
+    assert same_outputs([str(run), str(rounded), "--rtol", "1e-9"]) == 0
+    assert capsys.readouterr().out.startswith("same outputs within rtol 1e-09")
+    assert same_outputs([str(run), str(rounded), "--rtol", "1e-14"]) == 1
+
+    flipped = tmp_path / "flipped"
+    shutil.copytree(run, flipped)
+    lines = (flipped / "history.csv").read_text().splitlines(keepends=True)
+    row = lines[5].rstrip("\n").split(",")
+    row[-1] = "1" if row[-1] == "0" else "0"  # failure_update
+    lines[5] = ",".join(row) + "\n"
+    (flipped / "history.csv").write_text("".join(lines))
+    capsys.readouterr()
+    for rtol in ("1e-9", "1", "1e300"):
+        assert same_outputs([str(run), str(flipped), "--rtol", rtol]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "differs: history.csv"
+
+    # a printed cell resolves no less than one unit of its last digit
+    digit = tmp_path / "digit"
+    shutil.copytree(run, digit)
+    header, row = (run / "design.csv").read_text().splitlines()
+    lam, delta = row.split(",")
+    mantissa, exponent = lam.split("e")
+    last = int(mantissa[-1])
+    for units, code in ((1, 0), (2, 1)):
+        bumped = last + units if last + units <= 9 else last - units
+        (digit / "design.csv").write_text(f"{header}\n{mantissa[:-1]}{bumped}e{exponent},{delta}\n")
+        capsys.readouterr()
+        assert same_outputs([str(run), str(digit), "--rtol", "0"]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == "differs: design.csv"
