@@ -66,15 +66,12 @@ _INT_KEYS = {"posthoc_samples"} | {
 _BEAM_DEFAULTS = dict(
     iterations=5_000, m=25, kappa_f=1e5, p_a=1e-3,
     alpha0=1e-5, beta0=1e-5, eta_f=1e-5, posthoc_samples=10**4,
-    estimator=dict(method="hybrid", gamma=25.0, n_samples=5 * 10**4,
-                   n_fit=100, pce_order=4),
+    estimator=dict(method="hybrid", gamma=25.0, n_samples=5 * 10**4),
 )
-_DEFAULTS = {
+_DEFAULTS = {  # per-problem settings; one left out here takes its dataclass default
     "truss": dict(
         iterations=10_000, eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3,
-        alpha0=0.01, beta0=0.01, eta_f=0.2, posthoc_samples=10**6,
-        estimator=dict(method="hybrid", gamma=2.5, n_samples=10**6,
-                       n_fit=100, pce_order=4),
+        posthoc_samples=10**6, estimator=dict(method="hybrid"),
     ),
     "beam": dict(_BEAM_DEFAULTS, eta=0.02, n=8),
     "lbeam": dict(_BEAM_DEFAULTS, eta=0.035, n=4),
@@ -83,8 +80,9 @@ _DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    """A validated run configuration: the objects built from it, and `echo`, the
-    config with every default filled in, which re-parses to an equal RunConfig."""
+    """A validated run configuration: the objects built from it, and `echo`, every
+    value the run uses, read back from those objects, which re-parses to an equal
+    RunConfig."""
 
     problem: str
     mode: str
@@ -114,6 +112,11 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _values(obj, keys: set) -> dict:
+    """The fields of the dataclass obj named in keys, in field order."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name in keys}
 
 
 def _number(value, key: str, where: str = ""):
@@ -186,22 +189,22 @@ def parse_config(raw: dict) -> RunConfig:
     params = raw.get("problem_params", {})
     _require(isinstance(params, dict), "problem_params must be an object")
     _reject_unknown(params, _PROBLEM_KEYS[problem], f"problem_params ({problem})")
-    merged = {"problem": problem, "mode": "rbto", "seed": raw["seed"], **_DEFAULTS[problem],
-              **raw, "estimator": est, "problem_params": dict(params)}
+    merged = {"mode": "rbto", **_DEFAULTS[problem], **raw}
 
     mode = merged["mode"]
     _require(mode in ("rbto", "robust"), f"mode must be 'rbto' or 'robust', got {mode!r}")
     out_dir = merged.get("out_dir")
     _require(out_dir is None or isinstance(out_dir, str), "out_dir must be a string")
 
-    est_kw = {key: _number(v, key, "estimator.") for key, v in est.items() if key != "method"}
+    method = est.pop("method")
+    est_kw = {key: _number(v, key, "estimator.") for key, v in est.items()}
     try:
-        est_cfg = _ESTIMATORS[est["method"]](**est_kw)
+        est_cfg = _ESTIMATORS[method](**est_kw)
         if isinstance(est_cfg, HybridConfig):
             est_cfg.check_fit_count(_INPUT_DIM[problem])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"estimator: {err}") from None
-    opt_kw = {key: _number(merged[key], key) for key in _OPTIMIZER_KEYS}
+    opt_kw = {key: _number(merged[key], key) for key in _OPTIMIZER_KEYS if key in merged}
     posthoc_samples = _number(merged["posthoc_samples"], "posthoc_samples")
     try:
         optimizer = OptimizerConfig(estimator=est_cfg, **opt_kw)
@@ -210,16 +213,23 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(str(err).replace("n_samples", "posthoc_samples")) from None
     if mode == "robust":
         optimizer = replace(optimizer, kappa_f=0.0)
+    spec = _problem_spec(problem, params)
+    theta = _check_theta(merged.get("theta"))
+    echo = {"problem": problem, "mode": mode, **_values(optimizer, _OPTIMIZER_KEYS),
+            "posthoc_samples": posthoc.n_samples,
+            "estimator": {"method": method, **_values(est_cfg, _ESTIMATOR_KEYS[method])},
+            "problem_params": _values(spec, _PROBLEM_KEYS[problem])}
+    echo.update((key, v) for key, v in (("out_dir", out_dir), ("theta", theta)) if v is not None)
 
     return RunConfig(
         problem=problem,
         mode=mode,
         optimizer=optimizer,
         posthoc=posthoc,
-        problem_spec=_problem_spec(problem, params),
-        echo=merged,
+        problem_spec=spec,
+        echo=echo,
         out_dir=out_dir,
-        theta=_check_theta(merged.get("theta")),
+        theta=theta,
     )
 
 
@@ -424,7 +434,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (OptimizerError, FloatingPointError) as err:  # a singular FE system or a failed fit
+    except FloatingPointError as err:  # a singular FE system or a failed fit
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

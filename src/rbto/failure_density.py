@@ -23,14 +23,7 @@ class FailureModelOverflowError(FloatingPointError):
 class FailureDensityModel:
     alpha: float
     beta: np.ndarray
-    eta_f: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if not self.eta_f > 0.0:
-            raise ValueError("eta_f must be > 0")
-        if not (np.isfinite(self.alpha) and np.all(np.isfinite(self.beta))):
-            raise ValueError("model parameters must be finite")
+    eta_f: float  # > 0, checked by sgd.OptimizerConfig
 
 
 def _exp_terms(model: FailureDensityModel, failed_designs: np.ndarray) -> np.ndarray:
@@ -51,8 +44,6 @@ def residual_and_score(model: FailureDensityModel, failed_designs) -> tuple[floa
     is the gradient of q^2/2 in (alpha, beta).
     """
     failed = np.atleast_2d(np.asarray(failed_designs, dtype=float))
-    if failed.shape[0] < 1:
-        raise ValueError("need at least one failed design")
     e = _exp_terms(model, failed)
     q = float(np.sum(e) - 1.0)
     score = -np.concatenate([[np.sum(e)], failed.T @ e])
@@ -60,11 +51,8 @@ def residual_and_score(model: FailureDensityModel, failed_designs) -> tuple[floa
 
 
 def update(model: FailureDensityModel, failed_designs) -> FailureDensityModel:
-    """One gradient-descent step of (alpha, beta) on q^2/2; no-op if empty."""
-    failed = np.atleast_2d(np.asarray(failed_designs, dtype=float))
-    if failed.size == 0:
-        return model
-    q, score = residual_and_score(model, failed)
+    """One gradient-descent step of (alpha, beta) on q^2/2 over a nonempty failed set."""
+    q, score = residual_and_score(model, failed_designs)
     step = model.eta_f * score * q
     alpha = model.alpha - step[0]
     beta = model.beta - step[1:]
@@ -73,20 +61,13 @@ def update(model: FailureDensityModel, failed_designs) -> FailureDensityModel:
     return replace(model, alpha=alpha, beta=beta)
 
 
-def penalty_gradient(
-    model: FailureDensityModel, p_hat: float, p_a: float, kappa_f: float
-) -> np.ndarray:
+def penalty_gradient(model: FailureDensityModel, log_ratio: float, kappa_f: float) -> np.ndarray:
     """Design-space gradient of the failure-probability penalty.
 
-    Under the exponential density model the log failure probability has
-    design gradient -beta, so the penalty kappa_f/2 * [(ln p_hat - ln p_a)+]^2
-    contributes -kappa_f * (ln p_hat - ln p_a)+ * beta. Zero whenever the
-    constraint is satisfied, including p_hat = 0 (the log is never formed).
+    log_ratio is ln(p_hat / p_a), the log of the estimated over the allowable
+    failure probability. Under the exponential density model the log failure
+    probability has design gradient -beta, so the penalty
+    kappa_f/2 * [(log_ratio)+]^2 contributes -kappa_f * (log_ratio)+ * beta:
+    zero whenever the constraint is satisfied (log_ratio <= 0).
     """
-    if not 0.0 < p_a < 1.0:
-        raise ValueError("p_a must lie in (0, 1)")
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValueError("p_hat must lie in [0, 1]")
-    if p_hat <= p_a:
-        return np.zeros_like(model.beta)
-    return -kappa_f * (np.log(p_hat) - np.log(p_a)) * model.beta
+    return -kappa_f * max(log_ratio, 0.0) * model.beta

@@ -38,13 +38,8 @@ class MultiIndexSet:
 
 def multi_indices(dim: int, order: int) -> MultiIndexSet:
     """All d-tuples with component sum <= order, graded-lexicographically."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
     idx = [t for t in itertools.product(range(order + 1), repeat=dim) if sum(t) <= order]
     idx.sort(key=lambda t: (sum(t), t))
-    assert len(idx) == math.comb(order + dim, dim)
     return MultiIndexSet(dim, order, tuple(idx))
 
 
@@ -64,17 +59,9 @@ def _hermite_rows(x: np.ndarray, out: np.ndarray, roots: list[float]) -> None:
         out[k + 1] /= roots[k + 1]
 
 
-def _points(u, indices: MultiIndexSet) -> np.ndarray:
-    """u as an (n, dim) float array of u-space points."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[1] != indices.dim:
-        raise ValueError(f"points have dim {u.shape[1]}, index set has dim {indices.dim}")
-    return u
-
-
 def basis_matrix(u: np.ndarray, indices: MultiIndexSet) -> np.ndarray:
     """Evaluate all basis functions at u-space points, shape (n, n_terms)."""
-    u = _points(u, indices)
+    u = np.atleast_2d(np.asarray(u, dtype=float))
     rows = np.empty((indices.order + 1, u.shape[0]))
     roots = [math.sqrt(k) for k in range(indices.order + 1)]
     idx = np.array(indices.indices)  # (n_terms, d)
@@ -122,10 +109,6 @@ class PceModel:
     _monomial: np.ndarray = field(init=False, repr=False, compare=False)  # [j_0, ...] of u_0**j_0 * ...
 
     def __post_init__(self):
-        if len(self.coefficients) != len(self.indices):
-            raise ValueError("coefficient count must match index-set cardinality")
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("coefficients must be finite")
         # coefficients of the products of Hermite orders, then of powers: one
         # contraction with the power coefficients per dimension, each taking the
         # leading Hermite axis and appending its power axis; every axis runs to
@@ -146,8 +129,7 @@ class PceModel:
         exact zeros and add nothing. The hybrid screen passes blocks of
         reliability.EVAL_CHUNK rows, so every intermediate stays in cache.
         """
-        points = _points(u, self.indices)
-        cols = np.ascontiguousarray(points.T)
+        cols = np.ascontiguousarray(np.atleast_2d(u).T)
         return _horner(self._monomial, cols, np.empty_like(cols))
 
 
@@ -157,17 +139,11 @@ def fit_least_squares(
     indices: MultiIndexSet,
 ) -> PceModel:
     """Least-squares coefficient fit at the given u-space sample points."""
-    u_samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
     values = np.asarray(values, dtype=float)
     n_bad = int(np.count_nonzero(~np.isfinite(values)))
     if n_bad:
         raise PceFitError(f"{n_bad} of {values.size} fit values are not finite")
     n_terms = len(indices)
-    if u_samples.shape[0] < n_terms:
-        raise PceFitError(
-            f"need at least {n_terms} fit samples for {n_terms} basis terms, "
-            f"got {u_samples.shape[0]}"
-        )
     psi = basis_matrix(u_samples, indices)
     coef, _, rank, svals = np.linalg.lstsq(psi, values, rcond=None)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf

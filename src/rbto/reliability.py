@@ -66,10 +66,6 @@ class ReliabilityEstimate:
     n_surrogate_evals: int = 0
     thresholds: tuple = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat}")
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -267,7 +263,6 @@ def hybrid_estimate(
     band_rows = []
     # the batch is drawn (or was started ahead) while the surrogate is fitted
     blocks = _batch_blocks(input, cfg.n_samples, stream, draw)
-    cfg.check_fit_count(input.dim)
     indices = pce.multi_indices(input.dim, cfg.pce_order)
     u_fit = input.sample_u(cfg.n_fit, stream.child("fit"))
     g_fit = g.batch(theta, input.from_u(u_fit))

@@ -134,15 +134,11 @@ class RandomInput:
 
     def sample(self, n: int, stream: SampleStream) -> np.ndarray:
         """Draw n i.i.d. physical-space realizations, shape (n, dim)."""
-        if n < 1:
-            raise ValueError("sample count must be >= 1")
         u = stream.rng().standard_normal((n, self.dim))
         return self.from_u(u)
 
     def sample_u(self, n: int, stream: SampleStream) -> np.ndarray:
         """Draw n i.i.d. u-space points, shape (n, dim)."""
-        if n < 1:
-            raise ValueError("sample count must be >= 1")
         return stream.rng().standard_normal((n, self.dim))
 
     def blocks_u(self, n: int, stream: SampleStream):
@@ -160,8 +156,6 @@ class RandomInput:
         and draws it itself. Each range is yielded once filled and stays valid.
         The worker exits after its last fill, read or not.
         """
-        if n < 1:
-            raise ValueError("sample count must be >= 1")
         edges = [0, *range(min(DRAW_AHEAD * DRAW_BLOCK, n), n, DRAW_BLOCK), n]
         rngs = [stream.rng(), *(stream.child(b).rng() for b in range(1, len(edges) - 1))]
         u = np.empty((n, self.dim))

@@ -10,8 +10,8 @@ The failure probability is re-estimated by a sampling estimator every m
 iterations. The penalty is driven by the log ratio s of estimate to allowable
 probability, averaged across refreshes as s <- s/2 + ln(p_hat/p_a)/2 (seeded
 by the first refresh, p_hat floored at half a failure in the estimator's
-sample but at most p_a) and held frozen in between, with the penalty gradient
-evaluated at p_a * exp(s); the history still records each raw estimate. A
+sample but at most p_a) and held frozen in between; the penalty gradient takes
+s itself, and the history still records each raw estimate. A
 single frozen estimate over-corrects for all m iterations until the next
 refresh and makes the design cycle around the constraint boundary; the
 average damps that cycle and keeps the -beta direction and the hinge at p_a.
@@ -58,7 +58,8 @@ class OptimizationProblem:
     gradient. objective_expected, when available, evaluates the exact
     expectation of the sampled objective at a design; it is recorded as a
     noise-free convergence trace and never enters the descent direction.
-    theta0 must lie in the box [lower, upper].
+    theta0, lower and upper are float arrays of length dim, theta0 inside the
+    box [lower, upper] (each problem checks its theta0 where it is configured).
     """
 
     dim: int
@@ -69,17 +70,6 @@ class OptimizationProblem:
     objective_batch: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
     limit_state: LimitState
     objective_expected: Callable[[np.ndarray], float] | None = None
-
-    def __post_init__(self):
-        self.theta0 = np.asarray(self.theta0, dtype=float)
-        self.lower = np.full(self.dim, self.lower, dtype=float)
-        self.upper = np.full(self.dim, self.upper, dtype=float)
-        if self.theta0.shape != (self.dim,):
-            raise ValueError("theta0 dimension mismatch")
-        if (self.lower > self.upper).any():
-            raise ValueError("lower bound exceeds upper bound")
-        if (self.theta0 < self.lower).any() or (self.theta0 > self.upper).any():
-            raise ValueError("theta0 lies outside the design box")
 
 
 @dataclass(frozen=True)
@@ -148,9 +138,6 @@ def stochastic_gradient(
     the step size means the same thing for every n; the failure penalty
     enters once.
     """
-    batch = np.atleast_2d(batch)
-    if batch.shape[0] < 1:
-        raise ValueError("batch must be nonempty")
     value, grad = problem.objective_batch(theta, batch)
     return grad + failure_penalty, value
 
@@ -211,9 +198,8 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
                 stale = True
 
             if stale:
-                if cfg.kappa_f > 0.0 and log_ratio is not None:
-                    p_smooth = min(cfg.p_a * float(np.exp(log_ratio)), 1.0)
-                    penalty = fd.penalty_gradient(model, p_smooth, cfg.p_a, cfg.kappa_f)
+                if log_ratio is not None:  # set by a refresh, so kappa_f > 0
+                    penalty = fd.penalty_gradient(model, log_ratio, cfg.kappa_f)
                 else:
                     penalty = np.zeros(problem.dim)
                 beta_norm = float(np.linalg.norm(model.beta))

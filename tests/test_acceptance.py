@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, shared fixtures for long runs.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion. The full suite takes about 7 minutes on a 2-vCPU host with one
-BLAS thread (411 s measured); the beam and L-bracket optimizations dominate.
+criterion. The full suite takes about 4 minutes on a 2-vCPU host with one
+BLAS thread (241 s measured); the beam and L-bracket optimizations dominate.
 """
 import json
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -103,10 +104,15 @@ class TestConfigParsing:
         ({"problem": "lbeam", "problem_params": {"e0_mean": 0}}, "e0_mean must be > 0"),
         ({"problem": "beam", "problem_params": {"p0_load": 0}}, "p0_load must be > 0"),
         ({"problem_params": {"p_load": 0}}, "p_load must be > 0"),
+        ({"p_a": 1.0}, r"p_a must lie in \(0, 1\)"),
+        ({"n": 0}, "n must be >= 1"),
+        ({"estimator": {"method": "hybrid", "pce_order": -1}}, "estimator: pce_order must be >= 0"),
+        ({"estimator": {"method": "mc", "n_samples": 0}}, "estimator: n_samples must be >= 1"),
     ], ids=["iterations", "p0", "n_grid", "n_fit", "theta0", "kappa_c", "iterations_float",
             "seed_bool", "posthoc_samples", "out_dir", "problem_list", "method_list",
             "iterations_huge", "n_samples_huge", "nx_huge", "eta_f_negative", "eta_f_zero",
-            "beam_e0_std", "lbeam_e0_mean", "beam_p0_load", "truss_p_load"])
+            "beam_e0_std", "lbeam_e0_mean", "beam_p0_load", "truss_p_load", "p_a_one", "n_zero",
+            "pce_order_negative", "mc_n_samples_zero"])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
         assert_config_error(tmp_path, capsys, ["run", path], message)
@@ -156,6 +162,27 @@ class TestConfigParsing:
             parse_config({"problem": "truss", "seed": 1, "p_a": 2.0})
         with pytest.raises(ConfigError, match="eta"):
             parse_config({"problem": "truss", "seed": 1, "eta": -1.0})
+
+    @pytest.mark.parametrize("raw", [
+        {"problem": "beam", "seed": 1},
+        {"problem": "truss", "seed": 1, "estimator": {"method": "subset"}},
+        {"problem": "lbeam", "seed": 4, "mode": "robust"},
+    ], ids=["beam_minimal", "method_switch", "lbeam_robust"])
+    def test_echo_holds_every_value_the_run_uses(self, raw):
+        cfg = parse_config(raw)
+        echo = json.loads(json.dumps(cfg.echo))  # as summary.json holds it
+        assert parse_config(echo) == cfg
+        opt, spec = cfg.optimizer, cfg.problem_spec
+        for f in dataclasses.fields(opt):
+            if f.name != "estimator":
+                assert echo[f.name] == getattr(opt, f.name)
+        assert echo["estimator"] == {"method": raw.get("estimator", {}).get("method", "hybrid"),
+                                     **dataclasses.asdict(opt.estimator)}
+        mesh_keys = {"truss": set(), "beam": {"variant", "n_grid"}, "lbeam": {"variant", "nx", "ny"}}
+        params = {key: value for key, value in dataclasses.asdict(spec).items()
+                  if key not in mesh_keys[raw["problem"]]}
+        assert echo["problem_params"] == json.loads(json.dumps(params))
+        assert echo["posthoc_samples"] == cfg.posthoc.n_samples
 
     @pytest.mark.parametrize("path", BEAM_CONFIGS, ids=lambda path: path.stem)
     def test_beam_draws_stay_in_the_first_fill(self, path):

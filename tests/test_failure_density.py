@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbto import truss
 from rbto.failure_density import (
     FailureDensityModel,
     FailureModelOverflowError,
@@ -10,6 +11,8 @@ from rbto.failure_density import (
     residual_and_score,
     update,
 )
+from rbto.reliability import LimitState, McConfig
+from rbto.sgd import OptimizerConfig, run
 
 
 def model(alpha, beta, eta_f=0.2):
@@ -58,11 +61,6 @@ def test_update_noop_at_zero_residual():
     assert np.array_equal(m2.beta, m.beta)
 
 
-def test_update_noop_on_empty_batch():
-    m = model(0.3, [0.1])
-    assert update(m, np.empty((0, 1))) is m
-
-
 def test_update_descends_on_residual():
     # starting parameters and step size of the benchmark configuration
     m = model(0.01, [0.01, 0.01], eta_f=0.2)
@@ -93,17 +91,16 @@ def test_update_overflow_raises():
 
 def test_penalty_zero_at_boundary_and_below():
     m = model(0.0, [1.0, 2.0])
-    assert np.array_equal(penalty_gradient(m, 1e-3, 1e-3, 10.0), [0.0, 0.0])
-    assert np.array_equal(penalty_gradient(m, 5e-4, 1e-3, 10.0), [0.0, 0.0])
-    assert np.array_equal(penalty_gradient(m, 0.0, 1e-3, 10.0), [0.0, 0.0])
+    assert np.array_equal(penalty_gradient(m, 0.0, 10.0), [0.0, 0.0])
+    assert np.array_equal(penalty_gradient(m, np.log(0.5), 10.0), [0.0, 0.0])
+    assert np.array_equal(penalty_gradient(m, -np.inf, 10.0), [0.0, 0.0])
 
 
 def test_penalty_one_log_unit_above_allowable():
-    # log factor exactly 1; the gradient of the log failure probability under
+    # log ratio exactly 1; the gradient of the log failure probability under
     # the exponential density model is -beta, so the penalty is -kappa*beta
     m = model(0.0, [1.0, 2.0])
-    p_a = 1e-3
-    grad = penalty_gradient(m, np.e * p_a, p_a, 1.0)
+    grad = penalty_gradient(m, 1.0, 1.0)
     assert np.allclose(grad, [-1.0, -2.0], rtol=1e-12)
 
 
@@ -113,26 +110,24 @@ def test_penalty_positively_homogeneous(scale, kappa):
     beta = np.array([0.5, -1.5])
     m1 = model(0.0, beta)
     m2 = model(0.0, scale * beta)
-    g1 = penalty_gradient(m1, 1e-2, 1e-3, kappa)
-    g2 = penalty_gradient(m2, 1e-2, 1e-3, kappa)
+    g1 = penalty_gradient(m1, np.log(10.0), kappa)
+    g2 = penalty_gradient(m2, np.log(10.0), kappa)
     assert np.allclose(g2, scale * g1, rtol=1e-9, atol=1e-12)
-    g3 = penalty_gradient(m1, 1e-2, 1e-3, 7.0 * kappa)
+    g3 = penalty_gradient(m1, np.log(10.0), 7.0 * kappa)
     assert np.allclose(g3, 7.0 * g1, rtol=1e-9, atol=1e-12)
+    g4 = penalty_gradient(m1, 2.0 * np.log(10.0), kappa)
+    assert np.allclose(g4, 2.0 * g1, rtol=1e-9, atol=1e-12)
 
 
 def test_model_fixed_over_window_without_failures():
-    m = FailureDensityModel(0.01, np.full(3, 0.01), eta_f=0.2)
-    # the optimizer skips update() entirely when no draw fails; the model
-    # object is immutable, so identity is preserved across such a window
-    m2 = update(m, np.empty((0, 3)))
-    assert m2 is m
-
-
-def test_invalid_inputs():
-    m = model(0.0, [1.0])
-    with pytest.raises(ValueError):
-        penalty_gradient(m, 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        penalty_gradient(m, 1.5, 1e-3, 1.0)
-    with pytest.raises(ValueError):
-        residual_and_score(m, np.empty((0, 1)))
+    # the optimizer calls update() only on an iteration whose draw fails: over
+    # a run whose limit state never fails, alpha and beta keep their start values
+    prob = truss.make_problem()
+    prob.limit_state = LimitState(lambda theta, xis: np.ones(len(xis)))
+    cfg = OptimizerConfig(eta=1e-5, n=1, m=50, kappa_f=2500.0, p_a=1e-3, iterations=200,
+                          estimator=McConfig(1000), seed=5, alpha0=0.03, beta0=0.02)
+    _, hist = run(prob, cfg)
+    assert not hist.failure_update.any()
+    assert np.all(hist.alpha == 0.03)
+    assert np.array_equal(hist.final_beta, np.full(2, 0.02))
+    assert np.allclose(hist.beta_norm, np.sqrt(2) * 0.02, rtol=1e-15)

@@ -232,9 +232,10 @@ class TestHybrid:
         assert est.n_exact_evals < 0.01 * cfg.n_samples
 
     def test_fit_count_validation(self):
+        # parse_config refuses this n_fit; past it, the rank check of the fit does
         cfg = HybridConfig(gamma=1.0, n_samples=100, n_fit=3, pce_order=4)
         g = shifted_limit_state(1.0)
-        with pytest.raises(ValueError, match="basis"):
+        with pytest.raises(PceFitError, match="rank 3 < 5 terms"):
             hybrid_estimate(g, None, U1, cfg, SampleStream(17))
 
 

@@ -176,11 +176,6 @@ def test_blocks_u_unread_draw_leaves_no_thread(threads_left, small_blocks):
     assert np.array_equal(np.concatenate(list(draw)), np.concatenate(drawn_blocks(ri, n, SampleStream(4))))
 
 
-def test_blocks_u_rejects_empty_draw():
-    with pytest.raises(ValueError, match="sample count"):
-        RandomInput((Normal(),)).blocks_u(0, SampleStream(1))
-
-
 def test_blocks_u_consumer_that_breaks_leaves_no_thread(threads_left, small_blocks):
     for _ in RandomInput((Normal(),)).blocks_u(FIRST_FILL + 3 * BLOCK_ROWS + 5, SampleStream(2)):
         assert threads_left(timeout=0.0) <= 1  # one worker at most
@@ -274,8 +269,6 @@ def test_invalid_parameters_rejected():
         Lognormal(1.0, -0.1)
     with pytest.raises(ValueError):
         RandomInput(())
-    with pytest.raises(ValueError, match="sample count"):
-        RandomInput((Normal(),)).sample(0, SampleStream(1))
 
 
 def test_stream_rejects_bad_labels():
