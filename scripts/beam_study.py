@@ -1,35 +1,30 @@
 #!/usr/bin/env python3
-"""Optimize the rectangular beam or the L-bracket, reliability-constrained and
-robust, and write density images plus a small report.
+"""Run the shipped rectangular-beam or L-bracket config through `rbto run`,
+reliability-constrained and robust, and report each run from its outputs.
 
-Each run reports its post-hoc P_F next to the trailing-500 change of the
-exact expected objective (the relative difference between the means of the
-last two 500-iteration windows), the stabilization measure of acceptance
-criteria 8 and 9. Sweep seeds with --seed to see how robust a result is.
+Each mode writes one `rbto run` directory, OUT/<variant>_<mode>, holding
+history.csv, design.csv, design.pgm and summary.json. Each run reports its
+post-hoc P_F next to the trailing-500 change of the exact expected objective
+(history.csv's objective_expected: the relative difference between the means
+of the last two 500-iteration windows), the stabilization measure of
+acceptance criteria 8 and 9. Sweep seeds with --seed to see how robust a
+result is; --seed and --iterations default to the config's values.
 
 Usage:
     python scripts/beam_study.py rect|lshape [--iterations N] [--out DIR] [--seed N]
 """
 import argparse
-import time
+import csv
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from rbto import cli, fem
-from rbto.reliability import mc_estimate
-from rbto.sampling import SampleStream
-from rbto.sgd import run
+from rbto import cli
 
-PROBLEMS = {"rect": "beam", "lshape": "lbeam"}
-
-
-def build(variant, mode, seed, iterations):
-    """(RunConfig, OptimizationProblem, BeamProblem) with the CLI's defaults for the variant."""
-    cfg = cli.parse_config({"problem": PROBLEMS[variant], "seed": seed,
-                            "iterations": iterations, "mode": mode})
-    prob, bp = cli.build_problem(cfg)
-    return cfg, prob, bp
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PROBLEMS = {"rect": "beam_rect.json", "lshape": "beam_lshape.json"}
 
 
 def trailing_mean_change(objective, window=500):
@@ -44,35 +39,31 @@ def trailing_mean_change(objective, window=500):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("variant", choices=sorted(PROBLEMS))
-    parser.add_argument("--iterations", type=int, default=5000)
+    parser.add_argument("--iterations", type=int)
     parser.add_argument("--out", default="beam_out")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int)
     args = parser.parse_args()
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    overrides = {key: getattr(args, key) for key in ("seed", "iterations")
+                 if getattr(args, key) is not None}
 
     for mode in ("rbto", "robust"):
-        cfg, prob, bp = build(args.variant, mode, args.seed, args.iterations)
-        t0 = time.perf_counter()
-        theta, hist = run(prob, cfg.optimizer)
-        wall = time.perf_counter() - t0
-        post = mc_estimate(prob.limit_state, theta, prob.random_input, cfg.posthoc.n_samples,
-                           SampleStream(args.seed, ("posthoc", mode)))
-        rho = fem.filter_forward(bp.weights, theta)
-        grid = bp.density_grid(rho)
-        with open(out / f"{args.variant}_{mode}.pgm", "w") as fh:
-            fem.write_density_pgm(fh, grid)
-        with open(out / f"{args.variant}_{mode}.csv", "w") as fh:
-            fem.write_density_csv(fh, grid)
-        stab = trailing_mean_change(hist.objective_expected)
-        print(f"{args.variant} {mode:>6} seed {args.seed}: "
-              f"volume fraction {np.mean(rho):.3f}, "
-              f"post-hoc P_F {post.p_hat:.3e}, "
-              f"trailing-500 E[J] change {stab:.2%}, "
-              f"{hist.n_exact_g_evals} exact g evals, "
-              f"{bp.n_solves} FE solves, {wall:.0f}s")
+        out = Path(args.out) / f"{args.variant}_{mode}"
+        cfg = cli.load_config(CONFIGS / PROBLEMS[args.variant], mode=mode, **overrides)
+        code = cli.cmd_run(cfg, out)
+        if code:
+            return code
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "history.csv", newline="") as fh:
+            objective = np.array([float(row["objective_expected"]) for row in csv.DictReader(fh)])
+        design = summary["design"]
+        print(f"{args.variant} {mode:>6} seed {summary['seed']}: "
+              f"volume fraction {design['volume_fraction']:.3f}, "
+              f"post-hoc P_F {summary['final_p_f']:.3e}, "
+              f"trailing-500 E[J] change {trailing_mean_change(objective):.2%}, "
+              f"{summary['n_exact_g_evals']} exact g evals, "
+              f"{design['n_solves']} FE solves, {summary['wall_time_s']:.0f}s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

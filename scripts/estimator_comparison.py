@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
 """Compare the three failure-probability estimators at a fixed truss design
-against the closed-form value, including evaluation budgets.
+against the closed-form value, including evaluation budgets. The estimator
+settings are the shipped truss configs' (Monte Carlo: truss_hybrid.json with
+the method switched to "mc").
 
 Usage: python scripts/estimator_comparison.py [--lam 0.3425] [--delta-deg 43.25]
 """
 import argparse
+from pathlib import Path
 
 import numpy as np
 
-from rbto import truss
-from rbto.reliability import (
-    HybridConfig,
-    LimitState,
-    McConfig,
-    SubsetConfig,
-    estimate,
-)
+from rbto import cli, truss
+from rbto.reliability import LimitState, estimate
 from rbto.sampling import Normal, RandomInput, SampleStream
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def main():
@@ -32,9 +31,9 @@ def main():
     input_1d = RandomInput((Normal(),))
 
     configs = [
-        ("monte-carlo", McConfig(n_samples=10**6)),
-        ("subset", SubsetConfig(n_samples=500, p0=0.1)),
-        ("hybrid", HybridConfig(gamma=2.5, n_samples=10**6, n_fit=100, pce_order=4)),
+        ("monte-carlo", cli.load_config(CONFIGS / "truss_hybrid.json", estimator={"method": "mc"})),
+        ("subset", cli.load_config(CONFIGS / "truss_subset.json")),
+        ("hybrid", cli.load_config(CONFIGS / "truss_hybrid.json")),
     ]
     print(f"design (lam, delta) = ({args.lam}, {args.delta_deg} deg), "
           f"closed-form P_F = {exact:.4e}")
@@ -42,7 +41,7 @@ def main():
           f"{'surrogate evals':>16}")
     for name, cfg in configs:
         g = LimitState(lambda t, xis: truss.limit_state(prob, args.lam, delta, xis[:, 0]))
-        est = estimate(g, None, input_1d, cfg, SampleStream(args.seed, (name,)))
+        est = estimate(g, None, input_1d, cfg.optimizer.estimator, SampleStream(args.seed, (name,)))
         rel = abs(est.p_hat - exact) / exact
         print(f"{name:<12} {est.p_hat:12.4e} {rel:8.1%} {est.n_exact_evals:12d} "
               f"{est.n_surrogate_evals:16d}")

@@ -2,41 +2,35 @@
 """Sweep the truss benchmark over estimator, penalty, refresh interval, and
 allowable failure probability; print one table row per configuration.
 
+Each row is one `rbto run` of configs/truss_hybrid.json with the row's keys
+replaced (the subset row runs configs/truss_subset.json), in a temporary
+directory; the row shows the design from its summary.json and the exact P_F.
+
 Usage: python scripts/truss_study.py [--quick]
 """
 import argparse
-import time
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from rbto import truss
-from rbto.reliability import HybridConfig, McConfig, SubsetConfig
-from rbto.sgd import OptimizerConfig, run
+from rbto import cli, truss
 
-HYBRID = HybridConfig(gamma=2.5, n_samples=10**6, n_fit=100, pce_order=4)
-SUBSET = SubsetConfig(n_samples=500, p0=0.1)
-MC = McConfig(n_samples=10**6)
-
-
-def one_run(estimator, kappa_f, m, p_a, iterations, seed=1):
-    prob = truss.make_problem()
-    cfg = OptimizerConfig(
-        eta=1e-5, n=1, m=m, kappa_f=kappa_f, p_a=p_a, iterations=iterations,
-        estimator=estimator, seed=seed, alpha0=0.01, beta0=0.01, eta_f=0.2,
-    )
-    t0 = time.perf_counter()
-    theta, hist = run(prob, cfg)
-    wall = time.perf_counter() - t0
-    value, _ = truss.objective(theta[0], theta[1])
-    p_f = truss.failure_probability(truss.TrussProblem(), theta[0], theta[1])
-    return {
-        "lambda": theta[0],
-        "delta_deg": np.rad2deg(theta[1]),
-        "J": value,
-        "p_f": p_f,
-        "g_evals": hist.n_exact_g_evals,
-        "wall_s": wall,
-    }
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROWS = [
+    ("subset      k=2500 m=100 pa=1e-3", "truss_subset.json", {}),
+    ("hybrid      k=2500 m=100 pa=1e-3", "truss_hybrid.json", {}),
+    ("monte-carlo k=2500 m=100 pa=1e-3", "truss_hybrid.json", {"estimator": {"method": "mc"}}),
+    ("hybrid      k=500  m=100 pa=1e-3", "truss_hybrid.json", {"kappa_f": 500.0}),
+    ("hybrid      k=5000 m=100 pa=1e-3", "truss_hybrid.json", {"kappa_f": 5000.0}),
+    ("hybrid      k=2500 m=50  pa=1e-3", "truss_hybrid.json", {"m": 50}),
+    ("hybrid      k=2500 m=500 pa=1e-3", "truss_hybrid.json", {"m": 500}),
+    ("hybrid      k=2500 m=100 pa=1e-4", "truss_hybrid.json", {"p_a": 1e-4}),
+    ("hybrid      k=2500 m=100 pa=1e-5", "truss_hybrid.json", {"p_a": 1e-5}),
+]
 
 
 def main():
@@ -46,23 +40,18 @@ def main():
     args = parser.parse_args()
     iters = 2000 if args.quick else 10**4
 
-    rows = [
-        ("subset      k=2500 m=100 pa=1e-3", SUBSET, 2500.0, 100, 1e-3),
-        ("hybrid      k=2500 m=100 pa=1e-3", HYBRID, 2500.0, 100, 1e-3),
-        ("monte-carlo k=2500 m=100 pa=1e-3", MC, 2500.0, 100, 1e-3),
-        ("hybrid      k=500  m=100 pa=1e-3", HYBRID, 500.0, 100, 1e-3),
-        ("hybrid      k=5000 m=100 pa=1e-3", HYBRID, 5000.0, 100, 1e-3),
-        ("hybrid      k=2500 m=50  pa=1e-3", HYBRID, 2500.0, 50, 1e-3),
-        ("hybrid      k=2500 m=500 pa=1e-3", HYBRID, 2500.0, 500, 1e-3),
-        ("hybrid      k=2500 m=100 pa=1e-4", HYBRID, 2500.0, 100, 1e-4),
-        ("hybrid      k=2500 m=100 pa=1e-5", HYBRID, 2500.0, 100, 1e-5),
-    ]
     print(f"{'configuration':<36} {'lam*':>7} {'delta*':>8} {'J*':>7} "
           f"{'P_F':>10} {'g evals':>9} {'wall':>6}")
-    for label, est, kappa, m, p_a in rows:
-        r = one_run(est, kappa, m, p_a, iters)
-        print(f"{label:<36} {r['lambda']:7.4f} {r['delta_deg']:7.2f}° "
-              f"{r['J']:7.4f} {r['p_f']:10.3e} {r['g_evals']:9d} {r['wall_s']:5.0f}s")
+    for label, config, overrides in ROWS:
+        cfg = cli.load_config(CONFIGS / config, iterations=iters, **overrides)
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            if cli.cmd_run(cfg, Path(out)):
+                raise SystemExit(f"{label}: numerical failure")
+            summary = json.loads((Path(out) / "summary.json").read_text())
+        (lam, delta), j = summary["design"]["theta"], summary["design"]["objective"]
+        p_f = truss.failure_probability(cfg.problem_spec, lam, delta)
+        print(f"{label:<36} {lam:7.4f} {np.rad2deg(delta):7.2f}° {j:7.4f} {p_f:10.3e} "
+              f"{summary['n_exact_g_evals']:9d} {summary['wall_time_s']:5.0f}s")
 
 
 if __name__ == "__main__":

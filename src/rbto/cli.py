@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -71,7 +70,7 @@ _BEAM_DEFAULTS = dict(
 _DEFAULTS = {  # per-problem settings; one left out here takes its dataclass default
     "truss": dict(
         iterations=10_000, eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3,
-        posthoc_samples=10**6, estimator=dict(method="hybrid"),
+        estimator=dict(method="hybrid"),
     ),
     "beam": dict(_BEAM_DEFAULTS, eta=0.02, n=8),
     "lbeam": dict(_BEAM_DEFAULTS, eta=0.035, n=4),
@@ -205,10 +204,11 @@ def parse_config(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"estimator: {err}") from None
     opt_kw = {key: _number(merged[key], key) for key in _OPTIMIZER_KEYS if key in merged}
-    posthoc_samples = _number(merged["posthoc_samples"], "posthoc_samples")
+    posthoc_kw = ({"n_samples": _number(merged["posthoc_samples"], "posthoc_samples")}
+                  if "posthoc_samples" in merged else {})
     try:
         optimizer = OptimizerConfig(estimator=est_cfg, **opt_kw)
-        posthoc = McConfig(n_samples=posthoc_samples)
+        posthoc = McConfig(**posthoc_kw)
     except ValueError as err:
         raise ConfigError(str(err).replace("n_samples", "posthoc_samples")) from None
     if mode == "robust":
@@ -269,21 +269,17 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 def write_history_csv(path: Path, hist: RunHistory) -> None:
+    """One row per iteration, p_f filled at the refreshes only; CRLF line ends, as csv writes."""
+    p_cells = [""] * len(hist.objective)
+    for k, p in zip(hist.p_f_iterations.tolist(), hist.p_f_values.tolist()):
+        p_cells[k - 1] = f"{p:.10e}"
+    columns = zip(hist.objective.tolist(), hist.objective_expected.tolist(), p_cells,
+                  hist.alpha.tolist(), hist.beta_norm.tolist(), hist.failure_update.tolist())
+
     def writer(fh):
-        out = csv.writer(fh)
-        out.writerow(["iteration", "objective", "p_f", "alpha", "beta_norm",
-                      "failure_update"])
-        p_map = dict(zip(hist.p_f_iterations.tolist(), hist.p_f_values.tolist()))
-        for k in range(1, len(hist.objective) + 1):
-            p_cell = f"{p_map[k]:.10e}" if k in p_map else ""
-            out.writerow([
-                k,
-                f"{hist.objective[k - 1]:.10e}",
-                p_cell,
-                f"{hist.alpha[k - 1]:.10e}",
-                f"{hist.beta_norm[k - 1]:.10e}",
-                int(hist.failure_update[k - 1]),
-            ])
+        fh.write("iteration,objective,objective_expected,p_f,alpha,beta_norm,failure_update\r\n")
+        fh.writelines(f"{k},{obj:.10e},{expected:.10e},{p},{alpha:.10e},{beta:.10e},{update:d}\r\n"
+                      for k, (obj, expected, p, alpha, beta, update) in enumerate(columns, 1))
 
     _atomic_write(path, writer)
 
@@ -308,6 +304,7 @@ def _summary_design(cfg: RunConfig, context, theta: np.ndarray, out_dir: Path) -
         "volume_fraction": float(np.mean(rho)),
         "unit_compliance": float(c1),
         "n_elements": int(context.mesh.n_elems),
+        "n_solves": context.n_solves,
         "files": ["design.csv", "design.pgm"],
     }
 

@@ -40,12 +40,6 @@ class Lognormal:
     mean: float
     std: float
 
-    def __post_init__(self):
-        if not self.mean > 0.0:
-            raise ValueError(f"Lognormal mean must be > 0, got {self.mean}")
-        if not self.std > 0.0:
-            raise ValueError(f"Lognormal std must be > 0, got {self.std}")
-
     @property
     def sigma_ln(self) -> float:
         return float(np.sqrt(np.log(1.0 + (self.std / self.mean) ** 2)))
@@ -123,10 +117,6 @@ class RandomInput:
     """
 
     components: tuple[RandomVariable, ...]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise ValueError("RandomInput needs at least one component")
 
     @property
     def dim(self) -> int:

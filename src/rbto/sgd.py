@@ -4,7 +4,8 @@ Each iteration draws a fresh mini-batch of the uncertain input, checks the
 exact limit state on the whole batch in one call (updating the
 failure-density model whenever a draw fails), then takes a projected step
 along the batch-mean objective gradient, from one objective_batch call, plus
-the failure penalty.
+the failure penalty. Every iteration also records the exact expected
+objective at its design, a noise-free trace of whether the run settled.
 
 The failure probability is re-estimated by a sampling estimator every m
 iterations. The penalty is driven by the log ratio s of estimate to allowable
@@ -55,9 +56,9 @@ class OptimizationProblem:
 
     objective_batch(theta, xis) returns the mean of the sampled objective over
     the rows of the (n, dim) realization matrix xis and the mean of its design
-    gradient. objective_expected, when available, evaluates the exact
-    expectation of the sampled objective at a design; it is recorded as a
-    noise-free convergence trace and never enters the descent direction.
+    gradient. objective_expected evaluates the exact expectation of the sampled
+    objective at a design; it is recorded as a noise-free convergence trace and
+    never enters the descent direction.
     theta0, lower and upper are float arrays of length dim, theta0 inside the
     box [lower, upper] (each problem checks its theta0 where it is configured).
     """
@@ -69,7 +70,7 @@ class OptimizationProblem:
     random_input: RandomInput
     objective_batch: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
     limit_state: LimitState
-    objective_expected: Callable[[np.ndarray], float] | None = None
+    objective_expected: Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,9 @@ class OptimizerConfig:
 class RunHistory:
     """Per-iteration traces and run totals.
 
-    objective holds the mini-batch estimate; objective_expected holds the
-    exact expectation when the problem can evaluate it (NaN otherwise).
+    objective holds the mini-batch estimate and objective_expected the exact
+    expectation at the same design; a failed run's partial history holds NaN in
+    both, and in alpha and beta_norm, from the failing iteration on.
     """
 
     objective: np.ndarray = field(default_factory=lambda: np.array([]))
@@ -151,7 +153,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
     iters = cfg.iterations
     hist = RunHistory(
         objective=np.empty(iters),
-        objective_expected=np.full(iters, np.nan),
+        objective_expected=np.empty(iters),
         alpha=np.empty(iters),
         beta_norm=np.empty(iters),
         failure_update=np.zeros(iters, dtype=bool),
@@ -208,8 +210,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
             h, obj = stochastic_gradient(problem, theta, batch, penalty)
             hist.n_objective_evals += cfg.n
             hist.objective[k - 1] = obj
-            if problem.objective_expected is not None:
-                hist.objective_expected[k - 1] = problem.objective_expected(theta)
+            hist.objective_expected[k - 1] = problem.objective_expected(theta)
             hist.alpha[k - 1] = model.alpha
             hist.beta_norm[k - 1] = beta_norm
 
@@ -223,7 +224,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
         # FloatingPointError covers the density-model overflow, a failed
         # surrogate fit and a singular FE system, besides the checks above
         except (FloatingPointError, SubsetStallError) as err:
-            for arr in (hist.objective, hist.alpha, hist.beta_norm):
+            for arr in (hist.objective, hist.objective_expected, hist.alpha, hist.beta_norm):
                 arr[k - 1 :] = np.nan
             raise OptimizerError(str(err), k, finalize()) from err
 

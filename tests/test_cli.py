@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from rbto import fem
-from rbto.cli import ConfigError, load_config, main, parse_config
+from rbto.cli import _INPUT_DIM, ConfigError, build_problem, load_config, main, parse_config
 from rbto.reliability import HybridConfig
 from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK
+from rbto.sgd import run
 
 BEAM_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("beam_*.json"))
 
@@ -53,6 +54,14 @@ class TestConfigParsing:
         beam = parse_config({"problem": "beam", "seed": 1}).optimizer
         assert beam.n == 8 and beam.m == 25 and beam.eta == 0.02
         assert beam.estimator.gamma == 25.0
+
+    @pytest.mark.parametrize("problem, params", [
+        ("truss", {}), ("beam", {"nx": 12, "ny": 4}), ("lbeam", {"n_grid": 12}),
+    ])
+    def test_input_dim_matches_the_built_problem(self, problem, params):
+        # parse time checks the hybrid fit count against _INPUT_DIM, before any problem is built
+        cfg = parse_config({"problem": problem, "seed": 1, "problem_params": params})
+        assert _INPUT_DIM[problem] == build_problem(cfg)[0].random_input.dim
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key.*etaa"):
@@ -205,12 +214,12 @@ class TestRunCommand:
 
         rows = (out / "history.csv").read_text().splitlines()
         header = rows[0].split(",")
-        assert header == ["iteration", "objective", "p_f", "alpha", "beta_norm",
-                          "failure_update"]
+        assert header == ["iteration", "objective", "objective_expected", "p_f", "alpha",
+                          "beta_norm", "failure_update"]
         assert len(rows) == 1 + 60
         # refresh cells populated exactly at multiples of m
         for k, row in enumerate(rows[1:], start=1):
-            p_cell = row.split(",")[2]
+            p_cell = row.split(",")[3]
             assert (p_cell != "") == (k % 20 == 0)
 
         summary = json.loads((out / "summary.json").read_text())
@@ -245,7 +254,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0
         rows = (out / "history.csv").read_text().splitlines()[1:]
-        assert all(row.split(",")[2] == "" for row in rows)
+        assert all(row.split(",")[3] == "" for row in rows)
         summary = json.loads((out / "summary.json").read_text())
         assert "final_p_f" in summary
 
@@ -277,6 +286,23 @@ class TestRunCommand:
         assert grid.shape == (4, 12)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["design"]["n_elements"] == 48
+
+    @pytest.mark.parametrize("cfg", [
+        truss_smoke_config(),
+        {"problem": "lbeam", "seed": 3, "iterations": 6, "m": 3,
+         "estimator": {"method": "mc", "n_samples": 500}, "posthoc_samples": 500,
+         "problem_params": {"n_grid": 12}},
+    ], ids=["truss", "lbeam"])
+    def test_history_holds_the_expected_objective(self, tmp_path, cfg):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        rows = (out / "history.csv").read_text().splitlines()
+        column = rows[0].split(",").index("objective_expected")
+        run_cfg = load_config(path)
+        _, hist = run(build_problem(run_cfg)[0], run_cfg.optimizer)
+        assert [row.split(",")[column] for row in rows[1:]] == [
+            f"{v:.10e}" for v in hist.objective_expected]
 
     def test_failed_image_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         def failing_pgm(fh, grid):
@@ -332,9 +358,10 @@ class TestRunCommand:
         assert "numerical failure" in capsys.readouterr().err
         rows = (out / "history.csv").read_text().splitlines()
         assert len(rows) == 1 + 300
-        objective = [row.split(",")[1] for row in rows[1:]]
-        assert "nan" not in objective[:99]  # the first refresh, at iteration 100, fails
-        assert set(objective[99:]) == {"nan"}
+        for column in (1, 2):  # objective, objective_expected
+            values = [row.split(",")[column] for row in rows[1:]]
+            assert "nan" not in values[:99]  # the first refresh, at iteration 100, fails
+            assert set(values[99:]) == {"nan"}
 
     def test_posthoc_failure_exits_3_with_full_history(self, tmp_path, capsys, monkeypatch):
         # a singular factorization of the final design in the post-hoc check

@@ -23,7 +23,8 @@ U1 = RandomInput((Normal(),))
 
 
 def quadratic_problem(target=(0.3, -0.2), noise=0.0, dim=2):
-    """f(theta; xi) = |theta - target|^2 / 2 + noise * xi * theta_0, batch-averaged."""
+    """f(theta; xi) = |theta - target|^2 / 2 + noise * xi * theta_0, batch-averaged;
+    its expectation over the standard-normal xi is the first term."""
     target = np.asarray(target, dtype=float)
 
     def objective(theta, xis):
@@ -40,6 +41,7 @@ def quadratic_problem(target=(0.3, -0.2), noise=0.0, dim=2):
         random_input=U1,
         objective_batch=objective,
         limit_state=LimitState(lambda t, x: np.ones(len(x))),
+        objective_expected=lambda theta: 0.5 * float((theta - target) @ (theta - target)),
     )
 
 

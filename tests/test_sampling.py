@@ -262,15 +262,6 @@ def test_lognormal_roundtrip_property(mean, cov, u):
     assert lognormal_to_u(rv, x[0]) == pytest.approx(u, abs=1e-8)
 
 
-def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        Lognormal(-1.0, 0.1)
-    with pytest.raises(ValueError):
-        Lognormal(1.0, -0.1)
-    with pytest.raises(ValueError):
-        RandomInput(())
-
-
 def test_stream_rejects_bad_labels():
     with pytest.raises(ValueError):
         SampleStream(5).child(-1)

@@ -15,15 +15,19 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def test_estimator_comparison_runs():
+def run_script(name, *args, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "estimator_comparison.py")],
-        capture_output=True, text=True, timeout=120, env=env,
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *args],
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()
+    return proc.stdout
+
+
+def test_estimator_comparison_runs():
+    rows = run_script("estimator_comparison").splitlines()
     assert [r.split()[0] for r in rows[2:]] == ["monte-carlo", "subset", "hybrid"]
 
 
@@ -41,14 +45,16 @@ def test_study_script_imports(name):
     assert callable(load_script(name).main)
 
 
-@pytest.mark.parametrize("variant", ["rect", "lshape"])
-def test_beam_study_builds_each_run(variant):
-    build = load_script("beam_study").build
-    for mode in ("rbto", "robust"):
-        cfg, prob, bp = build(variant, mode, seed=1, iterations=10)
-        assert cfg.optimizer.iterations == 10
-        assert (cfg.optimizer.kappa_f > 0) == (mode == "rbto")
-        assert prob.dim == bp.mesh.n_elems
+def test_beam_study_runs_both_modes(tmp_path):
+    stdout = run_script("beam_study", "lshape", "--iterations", "50", "--out", str(tmp_path),
+                        timeout=300)
+    reports = [line for line in stdout.splitlines() if line.startswith("lshape")]
+    assert len(reports) == 2
+    for mode, line in zip(("rbto", "robust"), reports):
+        summary = json.loads((tmp_path / f"lshape_{mode}" / "summary.json").read_text())
+        assert summary["mode"] == mode and summary["config"]["iterations"] == 50
+        assert line.startswith(f"lshape {mode:>6} seed 4:")  # the config's seed
+        assert f"{summary['design']['n_solves']} FE solves" in line
 
 
 def test_same_outputs_tells_reruns_from_another_seed(tmp_path, capsys):
