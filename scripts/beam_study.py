@@ -2,13 +2,15 @@
 """Run the shipped rectangular-beam or L-bracket config through `rbto run`,
 reliability-constrained and robust, and report each run from its outputs.
 
-Each mode writes one `rbto run` directory, OUT/<variant>_<mode>, holding
-history.csv, design.csv, design.pgm and summary.json. Each run reports its
-post-hoc P_F next to the trailing-500 change of the exact expected objective
-(history.csv's objective_expected: the relative difference between the means
-of the last two 500-iteration windows), the stabilization measure of
-acceptance criteria 8 and 9. Sweep seeds with --seed to see how robust a
-result is; --seed and --iterations default to the config's values.
+The robust run is the config with kappa_f 0: no failure penalty and no
+failure-probability refresh. Each mode writes one `rbto run` directory,
+OUT/<variant>_<mode>, holding history.csv, design.csv, design.pgm and
+summary.json. Each run reports its post-hoc P_F next to the trailing-500
+change of the exact expected objective (history.csv's objective_expected:
+the relative difference between the means of the last two 500-iteration
+windows), the stabilization measure of acceptance criteria 8 and 9. Sweep
+seeds with --seed to see how robust a result is; --seed and --iterations
+default to the config's values.
 
 Usage:
     python scripts/beam_study.py rect|lshape [--iterations N] [--out DIR] [--seed N]
@@ -46,9 +48,9 @@ def main():
     overrides = {key: getattr(args, key) for key in ("seed", "iterations")
                  if getattr(args, key) is not None}
 
-    for mode in ("rbto", "robust"):
+    for mode, penalty in (("rbto", {}), ("robust", {"kappa_f": 0.0})):
         out = Path(args.out) / f"{args.variant}_{mode}"
-        cfg = cli.load_config(CONFIGS / PROBLEMS[args.variant], mode=mode, **overrides)
+        cfg = cli.load_config(CONFIGS / PROBLEMS[args.variant], **penalty, **overrides)
         code = cli.cmd_run(cfg, out)
         if code:
             return code

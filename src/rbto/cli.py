@@ -4,6 +4,8 @@ Subcommands:
     run <config.json>       optimize and write history.csv, design files, summary.json
     estimate <config.json>  one failure-probability estimate at a fixed design
 
+A robust run is one with kappa_f 0, which never refreshes the failure probability.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +51,9 @@ _PROBLEM_KEYS = {  # each beam variant takes only its own mesh size
     "lbeam": _BEAM_KEYS - {"nx", "ny"},
 }
 
-_INPUT_DIM = {"truss": 1, "beam": 2, "lbeam": 2}  # uncertain inputs of each problem
-
 _OPTIMIZER_KEYS = _field_names(OptimizerConfig) - {"estimator"}
 _TOP_KEYS = _field_names(OptimizerConfig) | {
-    "problem", "mode", "problem_params", "posthoc_samples", "out_dir", "theta",
+    "problem", "problem_params", "posthoc_samples", "theta",
 }
 # keys whose dataclass field is an int (a string under postponed annotations)
 _INT_KEYS = {"posthoc_samples"} | {
@@ -84,12 +84,10 @@ class RunConfig:
     RunConfig."""
 
     problem: str
-    mode: str
-    optimizer: OptimizerConfig  # kappa_f = 0 in robust mode
+    optimizer: OptimizerConfig
     posthoc: McConfig
     problem_spec: truss.TrussProblem | fem.BeamConfig
     echo: dict
-    out_dir: str | None = None
     theta: list | dict | None = None  # estimate subcommand: fixed design
 
     # the benchmark harness reads these two off load_config
@@ -188,19 +186,12 @@ def parse_config(raw: dict) -> RunConfig:
     params = raw.get("problem_params", {})
     _require(isinstance(params, dict), "problem_params must be an object")
     _reject_unknown(params, _PROBLEM_KEYS[problem], f"problem_params ({problem})")
-    merged = {"mode": "rbto", **_DEFAULTS[problem], **raw}
-
-    mode = merged["mode"]
-    _require(mode in ("rbto", "robust"), f"mode must be 'rbto' or 'robust', got {mode!r}")
-    out_dir = merged.get("out_dir")
-    _require(out_dir is None or isinstance(out_dir, str), "out_dir must be a string")
+    merged = {**_DEFAULTS[problem], **raw}
 
     method = est.pop("method")
     est_kw = {key: _number(v, key, "estimator.") for key, v in est.items()}
     try:
         est_cfg = _ESTIMATORS[method](**est_kw)
-        if isinstance(est_cfg, HybridConfig):
-            est_cfg.check_fit_count(_INPUT_DIM[problem])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"estimator: {err}") from None
     opt_kw = {key: _number(merged[key], key) for key in _OPTIMIZER_KEYS if key in merged}
@@ -211,24 +202,21 @@ def parse_config(raw: dict) -> RunConfig:
         posthoc = McConfig(**posthoc_kw)
     except ValueError as err:
         raise ConfigError(str(err).replace("n_samples", "posthoc_samples")) from None
-    if mode == "robust":
-        optimizer = replace(optimizer, kappa_f=0.0)
     spec = _problem_spec(problem, params)
     theta = _check_theta(merged.get("theta"))
-    echo = {"problem": problem, "mode": mode, **_values(optimizer, _OPTIMIZER_KEYS),
+    echo = {"problem": problem, **_values(optimizer, _OPTIMIZER_KEYS),
             "posthoc_samples": posthoc.n_samples,
             "estimator": {"method": method, **_values(est_cfg, _ESTIMATOR_KEYS[method])},
             "problem_params": _values(spec, _PROBLEM_KEYS[problem])}
-    echo.update((key, v) for key, v in (("out_dir", out_dir), ("theta", theta)) if v is not None)
+    if theta is not None:
+        echo["theta"] = theta
 
     return RunConfig(
         problem=problem,
-        mode=mode,
         optimizer=optimizer,
         posthoc=posthoc,
         problem_spec=spec,
         echo=echo,
-        out_dir=out_dir,
         theta=theta,
     )
 
@@ -334,7 +322,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
     summary = {
         "problem": cfg.problem,
-        "mode": cfg.mode,
         "seed": cfg.optimizer.seed,
         "design": _summary_design(cfg, context, theta, out_dir),
         "final_p_f": posthoc.p_hat,
@@ -415,7 +402,7 @@ def main(argv=None) -> int:
     for name in ("run", "estimate"):
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="path to JSON run configuration")
-        cmd.add_argument("--out", help="output directory (default: config's out_dir or '.')")
+        cmd.add_argument("--out", default=".", help="output directory (default: '.')")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--iterations", type=int, help="override iteration count")
     args = parser.parse_args(argv)
@@ -425,8 +412,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, **overrides)
         if args.command == "run":
-            out_dir = Path(args.out or cfg.out_dir or ".")
-            return cmd_run(cfg, out_dir)
+            return cmd_run(cfg, Path(args.out))
         return cmd_estimate(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

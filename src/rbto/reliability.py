@@ -78,41 +78,29 @@ class McConfig:
 @dataclass(frozen=True)
 class SubsetConfig:
     n_samples: int = 500
-    p0: float = 0.1
-    proposal_std: float = 1.0
-    max_levels: int = 20
+    # method constants, not settings (Au & Beck 2001): level probability, proposal std, stall limit
+    p0 = 0.1
+    proposal_std = 1.0
+    max_levels = 20
 
     def __post_init__(self):
-        check_counts(self, "n_samples", "max_levels")  # first: n_samples * p0 needs a float-sized int
-        if not 0.0 < self.p0 < 1.0:
-            raise ValueError("p0 must lie in (0, 1)")
+        check_counts(self, "n_samples")  # first: n_samples * p0 needs a float-sized int
         if math.ceil(self.n_samples * self.p0) < 2:
             raise ValueError("need ceil(N*p0) >= 2 chain seeds")
-        if math.floor(1.0 / self.p0) < 2:
-            raise ValueError("need floor(1/p0) >= 2 chain length")
-        if self.proposal_std <= 0.0:
-            raise ValueError("proposal_std must be > 0")
 
 
 @dataclass(frozen=True)
 class HybridConfig:
     gamma: float = 2.5
     n_samples: int = 10**6
-    n_fit: int = 100
-    pce_order: int = 4
+    # method constants, not settings: the fit size and the order of the PCE basis (15 terms in 2-D)
+    n_fit = 100
+    pce_order = 4
 
     def __post_init__(self):
         if self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
-        check_counts(self, "n_samples", "n_fit")  # n_fit also bounds pce_order, see check_fit_count
-        if self.pce_order < 0:
-            raise ValueError("pce_order must be >= 0")
-
-    def check_fit_count(self, dim: int) -> None:
-        """Reject n_fit below the size of the order-pce_order basis in dim inputs."""
-        n_terms = math.comb(self.pce_order + dim, dim)
-        if self.n_fit < n_terms:
-            raise ValueError(f"n_fit={self.n_fit} is below the {n_terms}-term basis size")
+        check_counts(self, "n_samples")
 
 
 class SubsetStallError(RuntimeError):
@@ -197,7 +185,8 @@ def subset_estimate(
     Level thresholds are the ceil(N*p0)-th smallest g among the level
     population, so each conditional level has probability ~p0; those samples
     seed Markov chains of length floor(1/p0) (seed included) targeting the
-    conditional law, and the final estimate is (n_fail/N) * p0^k.
+    conditional law, and the final estimate is (n_fail/N) * p0^k. p0 (0.1),
+    proposal_std (1.0) and max_levels (20) are SubsetConfig class constants.
     """
     n0 = cfg.n_samples
     n_seed = math.ceil(n0 * cfg.p0)
@@ -251,12 +240,12 @@ def hybrid_estimate(
 ) -> ReliabilityEstimate:
     """Surrogate-screened Monte Carlo estimate of P(g <= 0).
 
-    A polynomial chaos surrogate ghat is fitted from n_fit exact evaluations;
-    the large Monte Carlo batch is classified by ghat except inside the band
-    |ghat| <= gamma, where the exact model decides. The batch is screened in
-    blocks of EVAL_CHUNK rows as its ranges are filled, so no batch-sized
-    ghat or mask is built; the band rows of all blocks go to the exact model
-    in one call, in draw order.
+    A polynomial chaos surrogate ghat of order pce_order (4), fitted from n_fit
+    (100) exact evaluations (both HybridConfig class constants), classifies the
+    large Monte Carlo batch except inside the band |ghat| <= gamma, where the
+    exact model decides. The batch is screened in blocks of EVAL_CHUNK rows as
+    its ranges are filled, so no batch-sized ghat or mask is built; the band
+    rows of all blocks go to the exact model in one call, in draw order.
     """
     nd0 = g.n_evals
     n_fail = 0

@@ -50,17 +50,16 @@ def objective(lam: float, delta: float) -> tuple[float, np.ndarray]:
     return float(value), grad
 
 
-def limit_state(problem: TrussProblem, lam: float, delta: float, xi) -> float | np.ndarray:
+def limit_state(problem: TrussProblem, lam: float, delta: float, xi) -> np.ndarray:
     """Compliance margin; failure iff <= 0. Vectorized over xi.
 
     lam = 0 means a vanished cross-section: always failing (returns -inf).
     """
     xi = np.asarray(xi, dtype=float)
     if lam <= 0.0:
-        return -np.inf if xi.ndim == 0 else np.full(xi.shape, -np.inf)
+        return np.full(xi.shape, -np.inf)
     c, s = np.cos(delta), np.sin(delta)
-    out = problem.c0 - (1.0 / (lam * c)) * (1.0 / c**2 + xi**2 / (problem.p_load**2 * s**2))
-    return float(out) if xi.ndim == 0 else out
+    return problem.c0 - (1.0 / (lam * c)) * (1.0 / c**2 + xi**2 / (problem.p_load**2 * s**2))
 
 
 def failure_probability(problem: TrussProblem, lam: float, delta: float) -> float:

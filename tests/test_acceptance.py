@@ -50,6 +50,12 @@ def summary(out: Path) -> dict:
     return json.loads((out / "summary.json").read_text())
 
 
+def beam_runs(tmp_path_factory, config: str) -> dict:
+    """The reliability-constrained run of a beam config and its robust twin (kappa_f 0)."""
+    return {"rbto": rbto_run(tmp_path_factory, config),
+            "robust": rbto_run(tmp_path_factory, config, kappa_f=0.0)}
+
+
 @pytest.fixture(scope="module")
 def truss_runs(tmp_path_factory):
     """summary.json of each truss optimization criteria 1-3 need, keyed by (kappa, m, p_a)."""
@@ -70,8 +76,7 @@ def rect_beam_runs(tmp_path_factory):
     # grey material that leaves the compliance, and so P_F, unchanged while
     # the expected objective climbs. At the config's seed the trailing windows
     # agree within 0.13%; at seeds 2, 3 and 7 of 1 to 10 they differ by 3.3-6.5%.
-    return {mode: rbto_run(tmp_path_factory, "beam_rect.json", mode=mode)
-            for mode in ("rbto", "robust")}
+    return beam_runs(tmp_path_factory, "beam_rect.json")
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +85,7 @@ def lshape_beam_runs(tmp_path_factory):
     # so the L-bracket run settles near the constraint boundary instead of
     # cycling around it: at each seed from 1 to 10 its trailing windows agree
     # within 1.5%, and at seeds 1 to 5 its post-hoc P_F lies inside the band.
-    return {mode: rbto_run(tmp_path_factory, "beam_lshape.json", mode=mode)
-            for mode in ("rbto", "robust")}
+    return beam_runs(tmp_path_factory, "beam_lshape.json")
 
 
 def test_criterion_1_truss_benchmark_reproduction(truss_runs):
@@ -121,7 +125,7 @@ def test_criterion_3_tight_allowable_probabilities(truss_runs):
 
 
 def test_criterion_4_subset_calibration():
-    cfg = SubsetConfig(n_samples=1000, p0=0.1)
+    cfg = SubsetConfig(n_samples=1000)
     estimates, count_errors = [], []
     for rep in range(50):
         g = LimitState(lambda t, xis: 3.0 - xis[:, 0])
@@ -235,7 +239,7 @@ def test_criterion_10_determinism(tmp_path):
         "seed": 10,
         "iterations": 300,
         "m": 50,
-        "estimator": {"method": "subset", "n_samples": 500, "p0": 0.1},
+        "estimator": {"method": "subset", "n_samples": 500},
         "posthoc_samples": 20000,
     }
     cfg_path = tmp_path / "det.json"

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from rbto import fem
-from rbto.cli import _INPUT_DIM, ConfigError, build_problem, load_config, main, parse_config
+from rbto.cli import ConfigError, build_problem, load_config, main, parse_config
 from rbto.reliability import HybridConfig
 from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK
 from rbto.sgd import run
 
-BEAM_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("beam_*.json"))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BEAM_CONFIGS = sorted(CONFIGS.glob("beam_*.json"))
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -55,14 +56,6 @@ class TestConfigParsing:
         assert beam.n == 8 and beam.m == 25 and beam.eta == 0.02
         assert beam.estimator.gamma == 25.0
 
-    @pytest.mark.parametrize("problem, params", [
-        ("truss", {}), ("beam", {"nx": 12, "ny": 4}), ("lbeam", {"n_grid": 12}),
-    ])
-    def test_input_dim_matches_the_built_problem(self, problem, params):
-        # parse time checks the hybrid fit count against _INPUT_DIM, before any problem is built
-        cfg = parse_config({"problem": problem, "seed": 1, "problem_params": params})
-        assert _INPUT_DIM[problem] == build_problem(cfg)[0].random_input.dim
-
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key.*etaa"):
             parse_config({"problem": "truss", "seed": 1, "etaa": 2.0})
@@ -93,15 +86,12 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("over, message", [
         ({"iterations": "x"}, "iterations must be a number"),
-        ({"estimator": {"method": "subset", "p0": 1.5}}, "p0 must lie in"),
         ({"problem": "lbeam", "problem_params": {"n_grid": 20}}, "divisible by 6"),
-        ({"estimator": {"method": "hybrid", "n_fit": 3}}, "basis size"),
         ({"problem_params": {"theta0": [5.0, 0.7]}}, "theta0"),
         ({"kappa_c": [1.0]}, "unknown key.*kappa_c"),
         ({"iterations": 2.7}, "iterations must be an integer"),
         ({"seed": True}, "seed must be a number"),
         ({"posthoc_samples": 0}, "posthoc_samples must be >= 1"),
-        ({"out_dir": 5}, "out_dir must be a string"),
         ({"problem": ["truss"]}, "problem must be one of"),
         ({"estimator": {"method": ["mc"]}}, "estimator.method must be one of"),
         ({"iterations": 10**30}, "iterations must be <= 1000000000"),
@@ -115,13 +105,18 @@ class TestConfigParsing:
         ({"problem_params": {"p_load": 0}}, "p_load must be > 0"),
         ({"p_a": 1.0}, r"p_a must lie in \(0, 1\)"),
         ({"n": 0}, "n must be >= 1"),
-        ({"estimator": {"method": "hybrid", "pce_order": -1}}, "estimator: pce_order must be >= 0"),
         ({"estimator": {"method": "mc", "n_samples": 0}}, "estimator: n_samples must be >= 1"),
-    ], ids=["iterations", "p0", "n_grid", "n_fit", "theta0", "kappa_c", "iterations_float",
-            "seed_bool", "posthoc_samples", "out_dir", "problem_list", "method_list",
+        # keys that are no longer settings: a robust run is kappa_f 0, the output
+        # directory is --out, and the estimators' method constants are class constants
+        ({"mode": "robust"}, "unknown key.*mode"),
+        ({"out_dir": "out"}, "unknown key.*out_dir"),
+        ({"estimator": {"method": "subset", "p0": 0.1}}, "unknown key.*p0"),
+        ({"estimator": {"method": "hybrid", "n_fit": 50}}, "unknown key.*n_fit"),
+    ], ids=["iterations", "n_grid", "theta0", "kappa_c", "iterations_float",
+            "seed_bool", "posthoc_samples", "problem_list", "method_list",
             "iterations_huge", "n_samples_huge", "nx_huge", "eta_f_negative", "eta_f_zero",
             "beam_e0_std", "lbeam_e0_mean", "beam_p0_load", "truss_p_load", "p_a_one", "n_zero",
-            "pce_order_negative", "mc_n_samples_zero"])
+            "mc_n_samples_zero", "mode", "out_dir", "p0", "n_fit"])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
         assert_config_error(tmp_path, capsys, ["run", path], message)
@@ -175,7 +170,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("raw", [
         {"problem": "beam", "seed": 1},
         {"problem": "truss", "seed": 1, "estimator": {"method": "subset"}},
-        {"problem": "lbeam", "seed": 4, "mode": "robust"},
+        {"problem": "lbeam", "seed": 4, "kappa_f": 0},
     ], ids=["beam_minimal", "method_switch", "lbeam_robust"])
     def test_echo_holds_every_value_the_run_uses(self, raw):
         cfg = parse_config(raw)
@@ -192,6 +187,12 @@ class TestConfigParsing:
                   if key not in mesh_keys[raw["problem"]]}
         assert echo["problem_params"] == json.loads(json.dumps(params))
         assert echo["posthoc_samples"] == cfg.posthoc.n_samples
+
+    @pytest.mark.parametrize("name", ["truss_hybrid.json", "beam_rect.json", "beam_lshape.json"])
+    def test_run_config_lists_every_value_the_run_uses(self, name):
+        # a shipped run config hides no default and carries no removed key
+        text = (CONFIGS / name).read_text()
+        assert json.loads(text) == json.loads(json.dumps(parse_config(json.loads(text)).echo))
 
     @pytest.mark.parametrize("path", BEAM_CONFIGS, ids=lambda path: path.stem)
     def test_beam_draws_stay_in_the_first_fill(self, path):
@@ -249,7 +250,7 @@ class TestRunCommand:
         assert echoed == original
 
     def test_robust_mode_estimates_only_posthoc(self, tmp_path):
-        cfg = truss_smoke_config(mode="robust")
+        cfg = truss_smoke_config(kappa_f=0)
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0
@@ -328,7 +329,7 @@ class TestRunCommand:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
-    @pytest.mark.parametrize("content", [None, b'{"problem": "truss", "seed": 1, "out_dir": "\xff"}'],
+    @pytest.mark.parametrize("content", [None, b'{"problem": "truss\xff", "seed": 1}'],
                              ids=["directory", "not_utf8"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "cfg"
@@ -403,7 +404,7 @@ class TestEstimateCommand:
             "problem": "truss",
             "seed": 5,
             "theta": [0.3425, 0.754855],
-            "estimator": {"method": "subset", "n_samples": 1000, "p0": 0.1},
+            "estimator": {"method": "subset", "n_samples": 1000},
         }
         path = write_config(tmp_path, cfg)
         assert main(["estimate", path]) == 0

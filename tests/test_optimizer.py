@@ -211,7 +211,7 @@ class TestRun:
         prob.limit_state = LimitState(lambda t, x: np.ones(len(x)))
         cfg = small_config(
             kappa_f=10.0, m=5, iterations=20,
-            estimator=SubsetConfig(n_samples=100, p0=0.1, max_levels=3),
+            estimator=SubsetConfig(n_samples=100),
         )
         with pytest.raises(OptimizerError, match="stalled") as exc:
             run(prob, cfg)
@@ -321,7 +321,7 @@ def test_draw_ahead_changes_no_result(monkeypatch, threads_left):
     # give the run that draws each refresh batch when the refresh comes
     cfg = OptimizerConfig(
         eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3, iterations=300, seed=1,
-        estimator=HybridConfig(gamma=2.5, n_samples=10**6, n_fit=100, pce_order=4),
+        estimator=HybridConfig(gamma=2.5, n_samples=10**6),
     )
     shipped = run(truss.make_problem(), cfg)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy import stats
 
 from rbto import sgd
+from rbto.fem import BeamConfig, BeamProblem
 from rbto.reliability import (
     EVAL_CHUNK,
     HybridConfig,
@@ -85,7 +87,7 @@ class TestSubset:
     def test_degenerates_to_mc_when_first_threshold_nonpositive(self):
         # P(g <= 0) ~ 0.31 >> p0, so b_0 < 0 and the first-level samples decide
         g = shifted_limit_state(0.5)
-        est = subset_estimate(g, None, U1, SubsetConfig(1000, 0.1), SampleStream(3))
+        est = subset_estimate(g, None, U1, SubsetConfig(1000), SampleStream(3))
         assert est.levels == 0
         g2 = shifted_limit_state(0.5)
         ref = mc_estimate(g2, None, U1, 1000, SampleStream(3))
@@ -93,13 +95,13 @@ class TestSubset:
 
     def test_always_failing_short_circuits(self):
         est = subset_estimate(
-            constant_limit_state(-1.0), None, U1, SubsetConfig(500, 0.1), SampleStream(4)
+            constant_limit_state(-1.0), None, U1, SubsetConfig(500), SampleStream(4)
         )
         assert est.p_hat == 1.0
         assert est.levels == 0
 
     def test_mean_over_repeats_brackets_exact_tail(self):
-        cfg = SubsetConfig(1000, 0.1)
+        cfg = SubsetConfig(1000)
         estimates = []
         for rep in range(50):
             g = shifted_limit_state(3.0)
@@ -109,7 +111,7 @@ class TestSubset:
 
     def test_evaluation_count_bookkeeping(self):
         # exact count: N init + per level (chain_len - 1) steps per seed chain
-        cfg = SubsetConfig(1000, 0.1)
+        cfg = SubsetConfig(1000)
         g = shifted_limit_state(3.0)
         est = subset_estimate(g, None, U1, cfg, SampleStream(17))
         assert est.n_exact_evals == 1000 + est.levels * 100 * 9
@@ -117,7 +119,7 @@ class TestSubset:
 
     def test_threshold_ladder_strictly_decreasing(self):
         g = shifted_limit_state(3.0)
-        est = subset_estimate(g, None, U1, SubsetConfig(1000, 0.1), SampleStream(8))
+        est = subset_estimate(g, None, U1, SubsetConfig(1000), SampleStream(8))
         assert all(a > b for a, b in zip(est.thresholds, est.thresholds[1:]))
         assert est.thresholds[-1] <= 0.0
 
@@ -125,7 +127,7 @@ class TestSubset:
         prob = TrussProblem()
         lam, delta = 0.3425, np.deg2rad(43.25)
         g = truss_limit_state(prob, lam, delta)
-        est = subset_estimate(g, None, U1, SubsetConfig(2000, 0.1), SampleStream(11))
+        est = subset_estimate(g, None, U1, SubsetConfig(2000), SampleStream(11))
         exact = failure_probability(prob, lam, delta)  # ~1.0e-3
         assert exact / 2 <= est.p_hat <= exact * 2
 
@@ -133,7 +135,7 @@ class TestSubset:
         # one-dimensional linear limit state g = 3 - xi: level j holds xi >= 3 - b_j.
         # If the chains sample the level-1 law, the second threshold is its
         # p0-quantile, so Phi-bar(3 - b1) / Phi-bar(3 - b0) averages p0 in log.
-        cfg = SubsetConfig(500, 0.1)
+        cfg = SubsetConfig(500)
         log_ratios = []
         for rep in range(20):
             est = subset_estimate(shifted_limit_state(3.0), None, U1, cfg, SampleStream(300 + rep))
@@ -147,38 +149,34 @@ class TestSubset:
     def test_stall_raises_with_partial_estimate(self):
         g = constant_limit_state(1.0)
         with pytest.raises(SubsetStallError) as exc:
-            subset_estimate(g, None, U1, SubsetConfig(100, 0.1, max_levels=3), SampleStream(6))
+            subset_estimate(g, None, U1, SubsetConfig(100), SampleStream(6))
         partial = exc.value.estimate
         assert partial.p_hat == 0.0
-        assert partial.levels == 3
+        assert partial.levels == SubsetConfig.max_levels
         assert len(partial.thresholds) == partial.levels + 1
         assert partial.n_exact_evals == g.n_evals
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SubsetConfig(n_samples=5, p0=0.1)  # ceil(N p0) < 2
-        with pytest.raises(ValueError):
-            SubsetConfig(n_samples=100, p0=0.8)  # floor(1/p0) < 2
-        with pytest.raises(ValueError):
-            SubsetConfig(n_samples=100, p0=0.0)
+            SubsetConfig(n_samples=5)  # ceil(N p0) < 2
 
 
 class TestHybrid:
     def test_infinite_band_reduces_to_mc(self):
-        cfg = HybridConfig(gamma=np.inf, n_samples=2000, n_fit=30, pce_order=3)
+        cfg = HybridConfig(gamma=np.inf, n_samples=2000)
         g = shifted_limit_state(1.0)
         est = hybrid_estimate(g, None, U1, cfg, SampleStream(12))
         g2 = shifted_limit_state(1.0)
         ref = mc_estimate(g2, None, U1, 2000, SampleStream(12))
         assert est.p_hat == ref.p_hat
-        assert est.n_exact_evals == 30 + 2000
+        assert est.n_exact_evals == cfg.n_fit + 2000
 
     def test_multi_block_screen_is_mc_with_one_band_call(self):
         # an infinite band sends every screened row to the exact model: over
         # several draw and screening blocks the estimate is the plain MC one on
         # the same stream, and the band rows arrive in one call, in draw order
         n = DRAW_AHEAD * DRAW_BLOCK + EVAL_CHUNK + 5
-        cfg = HybridConfig(gamma=np.inf, n_samples=n, n_fit=30, pce_order=3)
+        cfg = HybridConfig(gamma=np.inf, n_samples=n)
         calls = []
 
         def record(theta, xis):
@@ -199,9 +197,9 @@ class TestHybrid:
             return 1.0 + 0.5 * x - 0.4 * (x**2 - 1.0)
 
         g = LimitState(lambda t, xis: gq(xis[:, 0]))
-        cfg = HybridConfig(gamma=0.0, n_samples=10**5, n_fit=40, pce_order=4)
+        cfg = HybridConfig(gamma=0.0, n_samples=10**5)
         est = hybrid_estimate(g, None, U1, cfg, SampleStream(13))
-        assert est.n_exact_evals == 40
+        assert est.n_exact_evals == cfg.n_fit
         g2 = shifted_limit_state(0.0)
         g2.batch_fn = lambda t, xis: gq(xis[:, 0])
         xis = U1.sample(10**5, SampleStream(13).child("mc"))
@@ -215,7 +213,7 @@ class TestHybrid:
             return 2.0 - 0.3 * x - 0.5 * x**2
 
         g = LimitState(lambda t, xis: gq(xis[:, 0]))
-        cfg = HybridConfig(gamma=1.0, n_samples=5 * 10**4, n_fit=50, pce_order=4)
+        cfg = HybridConfig(gamma=1.0, n_samples=5 * 10**4)
         est = hybrid_estimate(g, None, U1, cfg, SampleStream(14))
         xis = U1.sample(5 * 10**4, SampleStream(14).child("mc"))
         assert est.p_hat == pytest.approx(np.mean(gq(xis[:, 0]) <= 0.0), abs=1e-12)
@@ -223,7 +221,7 @@ class TestHybrid:
     def test_truss_reference_design_close_to_mc(self):
         prob = TrussProblem()
         lam, delta = 0.3425, np.deg2rad(43.25)
-        cfg = HybridConfig(gamma=2.5, n_samples=10**6, n_fit=100, pce_order=4)
+        cfg = HybridConfig(gamma=2.5, n_samples=10**6)
         g = truss_limit_state(prob, lam, delta)
         est = hybrid_estimate(g, None, U1, cfg, SampleStream(15))
         g2 = truss_limit_state(prob, lam, delta)
@@ -231,12 +229,58 @@ class TestHybrid:
         assert abs(est.p_hat - ref.p_hat) <= 0.2 * ref.p_hat
         assert est.n_exact_evals < 0.01 * cfg.n_samples
 
-    def test_fit_count_validation(self):
-        # parse_config refuses this n_fit; past it, the rank check of the fit does
-        cfg = HybridConfig(gamma=1.0, n_samples=100, n_fit=3, pce_order=4)
-        g = shifted_limit_state(1.0)
-        with pytest.raises(PceFitError, match="rank 3 < 5 terms"):
-            hybrid_estimate(g, None, U1, cfg, SampleStream(17))
+
+
+def beam_failure_probability(c1: float, config: BeamConfig, nodes: int = 80) -> float:
+    """Exact P_F of a beam design with unit compliance c1.
+
+    Failure C = P^2 C1 / E0 >= c_max is E0 <= P^2 C1 / c_max, so P_F is a 1-D
+    Gauss-Hermite integral of the lognormal cdf over the standard-normal load
+    fluctuation xi0, with P = p0_load (1 + load_coeff xi0).
+    """
+    x, w = hermegauss(nodes)  # weights of exp(-x^2/2)
+    e0 = Lognormal(config.e0_mean, config.e0_std)
+    load = config.p0_load * (1.0 + config.load_coeff * x)
+    z = (np.log(load**2 * c1 / config.c_max) - e0.mu_ln) / e0.sigma_ln
+    return float(w @ stats.norm.cdf(z)) / np.sqrt(2.0 * np.pi)
+
+
+@pytest.fixture(scope="module")
+def beam_design():
+    """A 30 x 10 half-beam, its uniform design of exact P_F 1e-3 (by bisection), and that P_F."""
+    beam = BeamProblem(BeamConfig(nx=30, ny=10))
+
+    def exact(density):
+        return beam_failure_probability(beam.unit_solution(np.full(beam.mesh.n_elems, density))[0],
+                                        beam.config)
+
+    lo, hi = 0.3, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exact(mid) > 1e-3 else (lo, mid)
+    return beam, np.full(beam.mesh.n_elems, hi), exact(hi)
+
+
+class TestBeamDesign:
+    """The estimators on the FE problems' two inputs (normal load, lognormal
+    modulus), at the beam configs' gamma, against the exact P_F."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_hybrid_is_mc_on_its_batch(self, beam_design, seed):
+        beam, theta, exact = beam_design
+        n = 10**6
+        est = hybrid_estimate(beam.limit_state, theta, beam.random_input,
+                              HybridConfig(gamma=25.0, n_samples=n), SampleStream(seed))
+        xis = beam.random_input.from_u(whole_batch(beam.random_input, n, SampleStream(seed)))
+        assert est.p_hat == np.mean(beam.limit_state_batch(theta, xis) <= 0.0)
+        assert abs(est.p_hat - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / n)
+
+    def test_subset_mean_near_exact(self, beam_design):
+        beam, theta, exact = beam_design
+        estimates = [subset_estimate(beam.limit_state, theta, beam.random_input,
+                                     SubsetConfig(2000), SampleStream(seed)).p_hat
+                     for seed in range(20)]
+        assert abs(np.mean(estimates) - exact) < 0.2 * exact
 
 
 class TestDispatchAndInvariants:
@@ -244,8 +288,8 @@ class TestDispatchAndInvariants:
         "cfg",
         [
             McConfig(n_samples=2000),
-            SubsetConfig(n_samples=500, p0=0.1),
-            HybridConfig(gamma=1.0, n_samples=2000, n_fit=30, pce_order=3),
+            SubsetConfig(n_samples=500),
+            HybridConfig(gamma=1.0, n_samples=2000),
         ],
     )
     def test_probability_in_unit_interval(self, cfg):
@@ -258,7 +302,7 @@ class TestDispatchAndInvariants:
             estimate(shifted_limit_state(1.0), None, U1, object(), SampleStream(1))
 
     def test_same_stream_same_estimate(self):
-        cfg = SubsetConfig(n_samples=500, p0=0.1)
+        cfg = SubsetConfig(n_samples=500)
         a = subset_estimate(shifted_limit_state(3.0), None, U1, cfg, SampleStream(19))
         b = subset_estimate(shifted_limit_state(3.0), None, U1, cfg, SampleStream(19))
         assert a.p_hat == b.p_hat
@@ -270,7 +314,7 @@ class TestDrawAhead:
 
     CONFIGS = [
         McConfig(n_samples=PAST_FIRST_FILL + 5),
-        HybridConfig(gamma=1.0, n_samples=PAST_FIRST_FILL + 5, n_fit=30, pce_order=3),
+        HybridConfig(gamma=1.0, n_samples=PAST_FIRST_FILL + 5),
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -283,7 +327,7 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("ahead", [False, True])
     def test_failed_fit_leaves_no_thread(self, ahead, threads_left):
-        cfg = HybridConfig(gamma=1.0, n_samples=PAST_FIRST_FILL + 5, n_fit=30, pce_order=3)
+        cfg = HybridConfig(gamma=1.0, n_samples=PAST_FIRST_FILL + 5)
         stream = SampleStream(22)
         draw = start_draw(U1, cfg, stream) if ahead else None
         with pytest.raises(PceFitError):
@@ -295,7 +339,7 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("cfg", [
         McConfig(n_samples=1000),
-        HybridConfig(gamma=1.0, n_samples=1000, n_fit=30, pce_order=3),
+        HybridConfig(gamma=1.0, n_samples=1000),
         SubsetConfig(n_samples=500),
     ])
     @pytest.mark.parametrize("k, n", [(200, 1000), (100, 999)])  # wrong stream, wrong size
@@ -314,7 +358,7 @@ class TestDrawAheadThreads:
         # refreshes at 100, 200 and 300; draws started ahead at 100 and 200
         return OptimizerConfig(
             eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3, iterations=300, seed=1,
-            estimator=HybridConfig(n_samples=PAST_FIRST_FILL + 5, n_fit=100, pce_order=4),
+            estimator=HybridConfig(n_samples=PAST_FIRST_FILL + 5),
         )
 
     def test_draws_start_ahead_of_each_refresh(self, monkeypatch):

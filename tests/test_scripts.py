@@ -52,7 +52,8 @@ def test_beam_study_runs_both_modes(tmp_path):
     assert len(reports) == 2
     for mode, line in zip(("rbto", "robust"), reports):
         summary = json.loads((tmp_path / f"lshape_{mode}" / "summary.json").read_text())
-        assert summary["mode"] == mode and summary["config"]["iterations"] == 50
+        assert (summary["config"]["kappa_f"] == 0) == (mode == "robust")
+        assert summary["config"]["iterations"] == 50
         assert line.startswith(f"lshape {mode:>6} seed 4:")  # the config's seed
         assert f"{summary['design']['n_solves']} FE solves" in line
 
