@@ -1,16 +1,19 @@
-"""Command-line runner: JSON run configurations, history/design/summary outputs.
+"""Command-line runner: JSON configurations, history/design/summary outputs.
 
-Subcommands:
-    run <config.json>       optimize and write history.csv, design files, summary.json
-    estimate <config.json>  one failure-probability estimate at a fixed design
+Subcommands, each taking only the config keys it reads (_COMMAND_KEYS):
+    run <config.json> [--out DIR] [--seed N] [--iterations N]
+        optimize and write history.csv, design files, summary.json
+    estimate <config.json> [--seed N]
+        one failure-probability estimate at a fixed design `theta`
 
-A robust run is one with kappa_f 0, which never refreshes the failure probability.
+A robust run is one with kappa_f 0, which evaluates no limit state before the post-run check.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,29 +40,16 @@ class ConfigError(ValueError):
     pass
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
-
-
 _ESTIMATORS = {"mc": McConfig, "subset": SubsetConfig, "hybrid": HybridConfig}
-_ESTIMATOR_KEYS = {method: {"method"} | _field_names(cls) for method, cls in _ESTIMATORS.items()}
-
-_BEAM_KEYS = _field_names(fem.BeamConfig) - {"variant"}
-_PROBLEM_KEYS = {  # each beam variant takes only its own mesh size
-    "truss": _field_names(truss.TrussProblem),
-    "beam": _BEAM_KEYS - {"n_grid"},
-    "lbeam": _BEAM_KEYS - {"nx", "ny"},
+_PROBLEMS = {  # per problem: its spec class, the other beam's mesh size, its base values
+    "truss": (truss.TrussProblem, (), {}),
+    "beam": (fem.BeamConfig, ("n_grid",), {"variant": "rect"}),
+    "lbeam": (fem.BeamConfig, ("nx", "ny"), fem.LBEAM),
 }
-
-_OPTIMIZER_KEYS = _field_names(OptimizerConfig) - {"estimator"}
-_TOP_KEYS = _field_names(OptimizerConfig) | {
-    "problem", "problem_params", "posthoc_samples", "theta",
-}
-# keys whose dataclass field is an int (a string under postponed annotations)
-_INT_KEYS = {"posthoc_samples"} | {
-    f.name
-    for cls in (OptimizerConfig, *_ESTIMATORS.values(), truss.TrussProblem, fem.BeamConfig)
-    for f in fields(cls) if f.type in (int, "int")
+_COMMAND_KEYS = {  # the top-level keys each subcommand reads
+    "run": {"problem", "estimator", "problem_params", "posthoc_samples",
+            *(f.name for f in fields(OptimizerConfig))},
+    "estimate": {"problem", "seed", "estimator", "problem_params", "theta"},
 }
 
 _BEAM_DEFAULTS = dict(
@@ -79,9 +69,9 @@ _DEFAULTS = {  # per-problem settings; one left out here takes its dataclass def
 
 @dataclass
 class RunConfig:
-    """A validated run configuration: the objects built from it, and `echo`, every
-    value the run uses, read back from those objects, which re-parses to an equal
-    RunConfig."""
+    """A validated configuration: the objects built from it, and `echo`, every
+    value its subcommand uses, read back from those objects, which re-parses to
+    an equal RunConfig."""
 
     problem: str
     optimizer: OptimizerConfig
@@ -100,9 +90,10 @@ class RunConfig:
         return self.optimizer.m
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _reject_unknown(mapping: dict, allowed, where: str, name: str = "") -> None:
+    unknown = [key for key in mapping if key not in allowed]
     if unknown:
+        where = f"{where} ({name})" if name else where
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
@@ -111,41 +102,47 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _values(obj, keys: set) -> dict:
-    """The fields of the dataclass obj named in keys, in field order."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name in keys}
+@functools.cache
+def _kinds(cls, skip: tuple = ()) -> dict:
+    """The settable fields of dataclass cls outside skip, in field order, by the
+    type they take: int, float, or tuple (of floats). Annotations are strings here."""
+    kinds = {"int": int, "float": float}
+    return {f.name: kinds.get(f.type, tuple) for f in fields(cls)
+            if f.name not in skip and (f.type in kinds or f.type.startswith("tuple"))}
 
 
-def _number(value, key: str, where: str = ""):
-    """value as the int or float its key's field declares; a ConfigError naming the key otherwise."""
+def _number(value, kind: type, key: str, prefix: str = ""):
+    """value as an int or a float; a ConfigError naming prefix + key otherwise."""
     if type(value) not in (int, float):  # a JSON true/false is not a number
-        raise ConfigError(f"{where}{key} must be a number, got {value!r}")
-    if key not in _INT_KEYS:
+        raise ConfigError(f"{prefix}{key} must be a number, got {value!r}")
+    if kind is float:
         if not abs(value) <= sys.float_info.max:  # NaN, Infinity (json.load accepts both), huge ints
-            raise ConfigError(f"{where}{key} must be finite, got {value!r}")
+            raise ConfigError(f"{prefix}{key} must be finite, got {value!r}")
         return float(value)
     if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def _problem_spec(problem: str, params: dict) -> truss.TrussProblem | fem.BeamConfig:
-    """The problem's validated parameters; keys left out keep the problem's defaults."""
-    kw = {}
-    for key, value in params.items():
-        if problem == "truss" and key == "theta0":
-            _require(isinstance(value, list), "problem_params.theta0 must be a list [lam, delta]")
-            kw[key] = tuple(_number(v, key, "problem_params.") for v in value)
-        else:
-            kw[key] = _number(value, key, "problem_params.")
+def _build(cls, values: dict, where: str, name: str = "", skip: tuple = (), base=None):
+    """cls built from base and values, each value converted to its field's type,
+    and the echo of its settable fields. where names the config section in
+    messages ("" at the top level) and name the table entry it was chosen by."""
+    kinds = _kinds(cls, skip)
+    _reject_unknown(values, kinds, where, name)
+    prefix = f"{where}." if where else ""
+    kw = dict(base or {})
+    for key, value in values.items():
+        if (kind := kinds[key]) is not tuple:
+            kw[key] = _number(value, kind, key, prefix)
+        else:  # the one such field is the truss theta0
+            _require(isinstance(value, list), f"{prefix}{key} must be a list [lam, delta]")
+            kw[key] = tuple(_number(v, float, key, prefix) for v in value)
     try:
-        if problem == "truss":
-            return truss.TrussProblem(**kw)
-        if problem == "beam":
-            return fem.BeamConfig(variant="rect", **kw)
-        return fem.lbeam_config(**kw)
+        obj = cls(**kw)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"problem_params: {err}") from None
+        raise ConfigError(f"{where}: {err}" if where else str(err)) from None
+    return obj, {key: getattr(obj, key) for key in kinds}
 
 
 def _check_theta(spec) -> list | dict | None:
@@ -153,76 +150,60 @@ def _check_theta(spec) -> list | dict | None:
     if spec is None:
         return None
     if isinstance(spec, list):
-        return [_number(v, f"theta[{i}]") for i, v in enumerate(spec)]
+        return [_number(v, float, f"theta[{i}]") for i, v in enumerate(spec)]
     _require(isinstance(spec, dict) and len(spec) == 1 and set(spec) <= {"uniform", "csv"},
              "theta must be a list, {'uniform': v}, or {'csv': path}")
     if "uniform" in spec:
-        return {"uniform": _number(spec["uniform"], "uniform", "theta.")}
+        return {"uniform": _number(spec["uniform"], float, "uniform", "theta.")}
     path = spec["csv"]
     _require(isinstance(path, str) and os.path.isfile(path), f"theta.csv: no file {path!r}")
     return spec
 
 
-def parse_config(raw: dict) -> RunConfig:
+def parse_config(raw: dict, command: str = "run") -> RunConfig:
+    """The configuration of subcommand command ("run" or "estimate"), checked;
+    a key that command does not read is rejected."""
     _require(isinstance(raw, dict), "config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    keys = _COMMAND_KEYS[command]
+    _reject_unknown(raw, keys, "config")
     _require("problem" in raw, "missing required field 'problem'")
     problem = raw["problem"]
     _require(isinstance(problem, str) and problem in _DEFAULTS,
              f"problem must be one of {sorted(_DEFAULTS)}, got {problem!r}")
     _require("seed" in raw, "missing required field 'seed'")
-
-    est = dict(_DEFAULTS[problem]["estimator"])
-    if "estimator" in raw:
-        _require(isinstance(raw["estimator"], dict), "estimator must be an object")
-        user_est = dict(raw["estimator"])
-        method = user_est.get("method", est["method"])
-        _require(isinstance(method, str) and method in _ESTIMATOR_KEYS,
-                 f"estimator.method must be one of {sorted(_ESTIMATOR_KEYS)}, got {method!r}")
-        if method != est["method"]:
-            est = {"method": method}
-        _reject_unknown(user_est, _ESTIMATOR_KEYS[method], f"estimator ({method})")
-        est.update(user_est)
-    params = raw.get("problem_params", {})
-    _require(isinstance(params, dict), "problem_params must be an object")
-    _reject_unknown(params, _PROBLEM_KEYS[problem], f"problem_params ({problem})")
     merged = {**_DEFAULTS[problem], **raw}
 
-    method = est.pop("method")
-    est_kw = {key: _number(v, key, "estimator.") for key, v in est.items()}
+    default = _DEFAULTS[problem]["estimator"]
+    est = raw.get("estimator", {})
+    _require(isinstance(est, dict), "estimator must be an object")
+    method = est.get("method", default["method"])
+    _require(isinstance(method, str) and method in _ESTIMATORS,
+             f"estimator.method must be one of {sorted(_ESTIMATORS)}, got {method!r}")
+    if method == default["method"]:
+        est = {**default, **est}
+    est_cfg, est_echo = _build(_ESTIMATORS[method],
+                               {k: v for k, v in est.items() if k != "method"}, "estimator", method)
+    optimizer, echo = _build(OptimizerConfig, {k: merged[k] for k in _kinds(OptimizerConfig)
+                                               if k in merged}, "", base={"estimator": est_cfg})
+    n_posthoc = _number(merged.get("posthoc_samples", McConfig.n_samples), int, "posthoc_samples")
     try:
-        est_cfg = _ESTIMATORS[method](**est_kw)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"estimator: {err}") from None
-    opt_kw = {key: _number(merged[key], key) for key in _OPTIMIZER_KEYS if key in merged}
-    posthoc_kw = ({"n_samples": _number(merged["posthoc_samples"], "posthoc_samples")}
-                  if "posthoc_samples" in merged else {})
-    try:
-        optimizer = OptimizerConfig(estimator=est_cfg, **opt_kw)
-        posthoc = McConfig(**posthoc_kw)
-    except ValueError as err:
+        posthoc = McConfig(n_posthoc)
+    except ValueError as err:  # McConfig's n_samples is posthoc_samples in a config
         raise ConfigError(str(err).replace("n_samples", "posthoc_samples")) from None
-    spec = _problem_spec(problem, params)
-    theta = _check_theta(merged.get("theta"))
-    echo = {"problem": problem, **_values(optimizer, _OPTIMIZER_KEYS),
-            "posthoc_samples": posthoc.n_samples,
-            "estimator": {"method": method, **_values(est_cfg, _ESTIMATOR_KEYS[method])},
-            "problem_params": _values(spec, _PROBLEM_KEYS[problem])}
-    if theta is not None:
-        echo["theta"] = theta
-
-    return RunConfig(
-        problem=problem,
-        optimizer=optimizer,
-        posthoc=posthoc,
-        problem_spec=spec,
-        echo=echo,
-        theta=theta,
-    )
+    params = raw.get("problem_params", {})
+    _require(isinstance(params, dict), "problem_params must be an object")
+    cls, skip, base = _PROBLEMS[problem]
+    spec, params_echo = _build(cls, params, "problem_params", problem, skip, base)
+    theta = _check_theta(raw.get("theta"))
+    echo = {"problem": problem, **echo, "posthoc_samples": posthoc.n_samples,
+            "estimator": {"method": method, **est_echo}, "problem_params": params_echo,
+            "theta": theta}
+    echo = {key: value for key, value in echo.items() if key in keys and value is not None}
+    return RunConfig(problem, optimizer, posthoc, spec, echo, theta)
 
 
-def load_config(path, **overrides) -> RunConfig:
-    """The config at path, with the keys in overrides (the --seed/--iterations flags) replaced."""
+def load_config(path, command: str = "run", **overrides) -> RunConfig:
+    """The config of command at path, its keys in overrides (--seed, --iterations) replaced."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -232,7 +213,7 @@ def load_config(path, **overrides) -> RunConfig:
         raise ConfigError(f"invalid JSON at {path}:{err.lineno}:{err.colno}: {err.msg}")
     if isinstance(raw, dict):
         raw.update(overrides)
-    return parse_config(raw)
+    return parse_config(raw, command)
 
 
 def build_problem(cfg: RunConfig):
@@ -284,9 +265,10 @@ def _summary_design(cfg: RunConfig, context, theta: np.ndarray, out_dir: Path) -
             "objective": value,
         }
     rho = fem.filter_forward(context.weights, theta)
-    grid = context.density_grid(rho)
-    _atomic_write(out_dir / "design.csv", lambda fh: fem.write_density_csv(fh, grid))
-    _atomic_write(out_dir / "design.pgm", lambda fh: fem.write_density_pgm(fh, grid))
+    # design.csv holds theta, the grid `rbto estimate` reads back; design.pgm pictures rho
+    theta_grid, rho_grid = context.density_grid(theta), context.density_grid(rho)
+    _atomic_write(out_dir / "design.csv", lambda fh: fem.write_density_csv(fh, theta_grid))
+    _atomic_write(out_dir / "design.pgm", lambda fh: fem.write_density_pgm(fh, rho_grid))
     c1, _ = context.unit_solution(theta)
     return {
         "volume_fraction": float(np.mean(rho)),
@@ -307,8 +289,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     try:
         theta, hist = run_optimizer(problem, cfg.optimizer)
     except OptimizerError as err:
-        if err.history is not None:
-            write_history_csv(out_dir / "history.csv", err.history)
+        write_history_csv(out_dir / "history.csv", err.history)
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - start
@@ -395,22 +376,20 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="rbto",
-        description="Reliability-based topology optimization runner",
-    )
+        prog="rbto", description="Reliability-based topology optimization runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "estimate"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("config", help="path to JSON run configuration")
-        cmd.add_argument("--out", default=".", help="output directory (default: '.')")
+    run, estimate = sub.add_parser("run"), sub.add_parser("estimate")
+    for cmd in (run, estimate):
+        cmd.add_argument("config", help="path to JSON configuration")
         cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--iterations", type=int, help="override iteration count")
+    run.add_argument("--out", default=".", help="output directory (default: '.')")
+    run.add_argument("--iterations", type=int, help="override iteration count")
     args = parser.parse_args(argv)
 
     overrides = {key: getattr(args, key) for key in ("seed", "iterations")
-                 if getattr(args, key) is not None}
+                 if getattr(args, key, None) is not None}
     try:
-        cfg = load_config(args.config, **overrides)
+        cfg = load_config(args.config, args.command, **overrides)
         if args.command == "run":
             return cmd_run(cfg, Path(args.out))
         return cmd_estimate(cfg)

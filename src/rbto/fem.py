@@ -310,13 +310,12 @@ class BeamConfig:
             raise ValueError(f"theta0 must lie in [{THETA_MIN}, 1], got {self.theta0}")
 
 
+# L-bracket defaults: smaller load with a stronger fluctuation, softer modulus
+LBEAM = dict(variant="lshape", c_max=650.0, p0_load=0.5, load_coeff=0.5, e0_std=0.2)
+
+
 def lbeam_config(**overrides) -> BeamConfig:
-    """L-bracket defaults: smaller load with a stronger fluctuation, softer modulus."""
-    base = dict(
-        variant="lshape", c_max=650.0, p0_load=0.5, load_coeff=0.5, e0_std=0.2
-    )
-    base.update(overrides)
-    return BeamConfig(**base)
+    return BeamConfig(**{**LBEAM, **overrides})
 
 
 class BeamProblem:

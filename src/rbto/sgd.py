@@ -2,10 +2,11 @@
 
 Each iteration draws a fresh mini-batch of the uncertain input, checks the
 exact limit state on the whole batch in one call (updating the
-failure-density model whenever a draw fails), then takes a projected step
-along the batch-mean objective gradient, from one objective_batch call, plus
-the failure penalty. Every iteration also records the exact expected
-objective at its design, a noise-free trace of whether the run settled.
+failure-density model whenever a draw fails; a robust run, kappa_f 0, skips
+this check), then takes a projected step along the batch-mean objective
+gradient, from one objective_batch call, plus the failure penalty. Every
+iteration also records the exact expected objective at its design, a
+noise-free trace of whether the run settled.
 
 The failure probability is re-estimated by a sampling estimator every m
 iterations. The penalty is driven by the log ratio s of estimate to allowable
@@ -44,7 +45,7 @@ from .sampling import RandomInput, SampleStream
 class OptimizerError(RuntimeError):
     """Numerical failure during a run; carries the iteration and partial history."""
 
-    def __init__(self, msg: str, iteration: int, history: "RunHistory | None" = None):
+    def __init__(self, msg: str, iteration: int, history: RunHistory):
         super().__init__(msg)
         self.iteration = iteration
         self.history = history
@@ -193,8 +194,8 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
                 stale = True
 
             batch = problem.random_input.sample(cfg.n, root.child("batch", k))
-            gs = problem.limit_state.batch(theta, batch)
-            if np.any(gs <= 0.0):
+            # a robust run (kappa_f 0) has no penalty for the failure-density model to steer
+            if cfg.kappa_f > 0.0 and np.any(problem.limit_state.batch(theta, batch) <= 0.0):
                 model = fd.update(model, [theta])
                 hist.failure_update[k - 1] = True
                 stale = True

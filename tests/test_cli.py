@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from rbto import fem
-from rbto.cli import ConfigError, build_problem, load_config, main, parse_config
+from rbto.cli import (
+    ConfigError,
+    _resolve_theta,
+    build_problem,
+    load_config,
+    main,
+    parse_config,
+)
 from rbto.reliability import HybridConfig
 from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK
 from rbto.sgd import run
@@ -38,7 +45,7 @@ def truss_smoke_config(**over):
 def assert_config_error(tmp_path, capsys, argv, message):
     """main(argv) exits 2 with a one-line message and creates no output directory."""
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
+    assert main(argv + ["--out", str(out)] if argv[0] == "run" else argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert re.search(f"config error: .*{message}", err)
@@ -112,11 +119,13 @@ class TestConfigParsing:
         ({"out_dir": "out"}, "unknown key.*out_dir"),
         ({"estimator": {"method": "subset", "p0": 0.1}}, "unknown key.*p0"),
         ({"estimator": {"method": "hybrid", "n_fit": 50}}, "unknown key.*n_fit"),
+        # a run reads no fixed design
+        ({"theta": [0.9, 0.3]}, "unknown key.*theta"),
     ], ids=["iterations", "n_grid", "theta0", "kappa_c", "iterations_float",
             "seed_bool", "posthoc_samples", "problem_list", "method_list",
             "iterations_huge", "n_samples_huge", "nx_huge", "eta_f_negative", "eta_f_zero",
             "beam_e0_std", "lbeam_e0_mean", "beam_p0_load", "truss_p_load", "p_a_one", "n_zero",
-            "mc_n_samples_zero", "mode", "out_dir", "p0", "n_fit"])
+            "mc_n_samples_zero", "mode", "out_dir", "p0", "n_fit", "theta"])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
         assert_config_error(tmp_path, capsys, ["run", path], message)
@@ -149,6 +158,23 @@ class TestConfigParsing:
         if problem == "lbeam":
             cfg["problem_params"] = {"n_grid": 12}
         assert_config_error(tmp_path, capsys, ["estimate", write_config(tmp_path, cfg)], message)
+
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", 10), ("posthoc_samples", 10**4), ("eta", -1),
+    ], ids=["iterations", "posthoc_samples", "eta"])
+    def test_estimate_config_rejects_run_keys(self, tmp_path, capsys, key, value):
+        cfg = {"problem": "truss", "seed": 1, "theta": [0.3425, 0.754855], key: value}
+        assert_config_error(tmp_path, capsys, ["estimate", write_config(tmp_path, cfg)],
+                            f"unknown key.*{key}")
+
+    @pytest.mark.parametrize("flags", [["--out", "out"], ["--iterations", "3"]],
+                             ids=["out", "iterations"])
+    def test_estimate_takes_no_run_flags(self, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(CONFIGS / "truss_estimate.json"), *flags])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("over, message", [
         ({"eta": float("nan")}, "eta must be finite, got nan"),
@@ -258,6 +284,7 @@ class TestRunCommand:
         assert all(row.split(",")[3] == "" for row in rows)
         summary = json.loads((out / "summary.json").read_text())
         assert "final_p_f" in summary
+        assert summary["n_exact_g_evals"] == 0
 
     def test_cli_overrides(self, tmp_path):
         path = write_config(tmp_path, truss_smoke_config())
@@ -422,12 +449,27 @@ class TestEstimateCommand:
         assert header == "lambda,delta"
         capsys.readouterr()
 
-        cfg = truss_smoke_config(theta={"csv": str(design)})
+        cfg = {key: truss_smoke_config()[key] for key in ("problem", "seed", "estimator")}
+        cfg["theta"] = {"csv": str(design)}
         assert main(["estimate", write_config(tmp_path, cfg, "from_csv.json")]) == 0
         from_csv = capsys.readouterr().out
-        cfg = truss_smoke_config(theta=[float(v) for v in row.split(",")])
+        cfg["theta"] = [float(v) for v in row.split(",")]
         assert main(["estimate", write_config(tmp_path, cfg, "from_list.json")]) == 0
         assert from_csv == capsys.readouterr().out
+
+    def test_beam_design_csv_round_trips(self, tmp_path):
+        # design.csv holds the design variables theta, not the filtered density
+        params = {"nx": 30, "ny": 10, "c_max": 150.0}
+        cfg = {"problem": "beam", "seed": 1, "iterations": 400, "kappa_f": 0,
+               "posthoc_samples": 100, "problem_params": params}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        est = parse_config({"problem": "beam", "seed": 1, "problem_params": params,
+                            "theta": {"csv": str(out / "design.csv")}}, "estimate")
+        problem, context = build_problem(est)
+        c1, _ = context.unit_solution(_resolve_theta(est, problem, context))
+        assert c1 == pytest.approx(summary["design"]["unit_compliance"], rel=1e-6)
 
     def test_uniform_theta_for_beam(self, tmp_path, capsys):
         cfg = {

@@ -119,7 +119,7 @@ class TestRun:
         prob.limit_state.batch = counting
         _, hist = run(prob, small_config(kappa_f=0.0, iterations=50, n=2))
         assert hist.p_f_iterations.size == 0
-        assert calls["n"] == 100  # only the per-iteration failure checks
+        assert calls["n"] == 0  # a robust run evaluates no limit state
 
     def test_iterates_stay_in_box(self):
         prob = quadratic_problem(target=(5.0, 5.0))  # pull toward outside the box
