@@ -146,15 +146,12 @@ def _build(cls, values: dict, where: str, name: str = "", skip: tuple = (), base
 
 
 def _check_theta(spec) -> list | dict | None:
-    """The estimate subcommand's design: a list of numbers, {"uniform": v} or {"csv": path}."""
+    """The estimate subcommand's design: a list of numbers or {"csv": path}."""
     if spec is None:
         return None
     if isinstance(spec, list):
         return [_number(v, float, f"theta[{i}]") for i, v in enumerate(spec)]
-    _require(isinstance(spec, dict) and len(spec) == 1 and set(spec) <= {"uniform", "csv"},
-             "theta must be a list, {'uniform': v}, or {'csv': path}")
-    if "uniform" in spec:
-        return {"uniform": _number(spec["uniform"], float, "uniform", "theta.")}
+    _require(isinstance(spec, dict) and set(spec) == {"csv"}, "theta must be a list or {'csv': path}")
     path = spec["csv"]
     _require(isinstance(path, str) and os.path.isfile(path), f"theta.csv: no file {path!r}")
     return spec
@@ -325,8 +322,6 @@ def _resolve_theta(cfg: RunConfig, problem, context) -> np.ndarray:
         return problem.theta0
     if isinstance(spec, list):
         theta = np.asarray(spec)
-    elif "uniform" in spec:
-        theta = np.full(problem.dim, spec["uniform"])
     else:
         try:
             lines = Path(spec["csv"]).read_text().splitlines()

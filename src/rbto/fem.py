@@ -314,10 +314,6 @@ class BeamConfig:
 LBEAM = dict(variant="lshape", c_max=650.0, p0_load=0.5, load_coeff=0.5, e0_std=0.2)
 
 
-def lbeam_config(**overrides) -> BeamConfig:
-    return BeamConfig(**{**LBEAM, **overrides})
-
-
 class BeamProblem:
     """Compliance-plus-mass minimization with a compliance failure margin.
 

@@ -1,23 +1,18 @@
-"""Polynomial chaos surrogate in standard-normal space.
+"""Polynomial chaos surrogate in standard-normal space, in the monomial basis.
 
-Basis functions are tensor products of normalized probabilists' Hermite
-polynomials He_n(x)/sqrt(n!), orthonormal under the standard-normal weight,
-over a total-degree multi-index set. Coefficients are fitted by least squares
-on i.i.d. input samples, with the basis values from the three-term recurrence
-_hermite_rows (basis_matrix). A fitted model is converted once to a dense
-tensor of monomial coefficients, axis d holding the powers of input d, and
-evaluation (PceModel.evaluate_u) is nested Horner's rule over its axes, which
-builds no Hermite values.
+The basis functions are the products prod_d u_d**j_d over a total-degree
+multi-index set (basis_matrix); PceModel.coefficients and PceModel.condition
+refer to them. They span the same space as the normalized Hermite chaos
+He_j(u)/sqrt(j!), so the least-squares fit is the same polynomial in either
+basis. A fitted model keeps its coefficients as a dense tensor, axis d holding
+the powers of input d, evaluated by nested Horner's rule (PceModel.evaluate_u).
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 
 class PceFitError(FloatingPointError):
@@ -43,43 +38,14 @@ def multi_indices(dim: int, order: int) -> MultiIndexSet:
     return MultiIndexSet(dim, order, tuple(idx))
 
 
-def _hermite_rows(x: np.ndarray, out: np.ndarray, roots: list[float]) -> None:
-    """Fill row k of out with psi_k(x) = He_k(x)/sqrt(k!), k = 0..len(out)-1.
-
-    x holds the points of one input dimension; each row of out is contiguous.
-    roots[k] = sqrt(k), for the recurrence psi_{k+1} = (x psi_k - sqrt(k) psi_{k-1})
-    / sqrt(k+1).
-    """
-    out[0] = 1.0
-    if len(out) > 1:
-        out[1] = x
-    for k in range(1, len(out) - 1):
-        np.multiply(out[1], out[k], out=out[k + 1])
-        out[k + 1] -= roots[k] * out[k - 1]
-        out[k + 1] /= roots[k + 1]
-
-
 def basis_matrix(u: np.ndarray, indices: MultiIndexSet) -> np.ndarray:
-    """Evaluate all basis functions at u-space points, shape (n, n_terms)."""
+    """Evaluate the monomials prod_d u_d**j_d at u-space points, shape (n, n_terms)."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    rows = np.empty((indices.order + 1, u.shape[0]))
-    roots = [math.sqrt(k) for k in range(indices.order + 1)]
     idx = np.array(indices.indices)  # (n_terms, d)
     psi = np.ones((u.shape[0], len(indices)))
     for d in range(indices.dim):
-        _hermite_rows(u[:, d], rows, roots)
-        psi *= rows[idx[:, d]].T
+        psi *= np.vander(u[:, d], indices.order + 1, increasing=True)[:, idx[:, d]]
     return psi
-
-
-@functools.lru_cache(maxsize=16)  # one per surrogate order in use
-def _power_coefficients(order: int) -> np.ndarray:
-    """Row k holds the coefficients of psi_k = He_k/sqrt(k!) in powers 0..order of x."""
-    power = np.zeros((order + 1, order + 1))
-    for k in range(order + 1):
-        power[k, : k + 1] = hermite_e.herme2poly(np.eye(k + 1)[k]) / math.sqrt(math.factorial(k))
-    power.setflags(write=False)
-    return power
 
 
 def _horner(m: np.ndarray, cols: np.ndarray, bufs: np.ndarray) -> np.ndarray:
@@ -101,7 +67,9 @@ def _horner(m: np.ndarray, cols: np.ndarray, bufs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PceModel:
-    """Fitted surrogate in u-space: index set and coefficients."""
+    """Fitted surrogate in u-space: index set, monomial coefficients (one per
+    multi-index, of prod_d u_d**j_d) and the condition number of the monomial
+    regression matrix the fit solved (nan when not fitted)."""
 
     indices: MultiIndexSet
     coefficients: np.ndarray
@@ -109,16 +77,9 @@ class PceModel:
     _monomial: np.ndarray = field(init=False, repr=False, compare=False)  # [j_0, ...] of u_0**j_0 * ...
 
     def __post_init__(self):
-        # coefficients of the products of Hermite orders, then of powers: one
-        # contraction with the power coefficients per dimension, each taking the
-        # leading Hermite axis and appending its power axis; every axis runs to
-        # at least power 1, so an order-0 model is evaluated by the same rule
-        power = _power_coefficients(max(self.indices.order, 1))
-        monomial = np.zeros((len(power),) * self.indices.dim)
-        monomial[tuple(np.array(self.indices.indices).T)] = self.coefficients
-        for _ in range(self.indices.dim):
-            monomial = np.tensordot(monomial, power, axes=(0, 0))
-        self._monomial = monomial
+        # every axis runs to at least power 1, so an order-0 model is evaluated by the same rule
+        self._monomial = np.zeros((max(self.indices.order, 1) + 1,) * self.indices.dim)
+        self._monomial[tuple(np.array(self.indices.indices).T)] = self.coefficients
 
     def evaluate_u(self, u: np.ndarray) -> np.ndarray:
         """Evaluate at the rows of an (n, dim) matrix of u-space points; shape (n,).

@@ -240,10 +240,11 @@ def hybrid_estimate(
 ) -> ReliabilityEstimate:
     """Surrogate-screened Monte Carlo estimate of P(g <= 0).
 
-    A polynomial chaos surrogate ghat of order pce_order (4), fitted from n_fit
-    (100) exact evaluations (both HybridConfig class constants), classifies the
-    large Monte Carlo batch except inside the band |ghat| <= gamma, where the
-    exact model decides. The batch is screened in blocks of EVAL_CHUNK rows as
+    A polynomial chaos surrogate ghat of total degree pce_order (4), fitted by
+    least squares in the monomial basis (pce.basis_matrix; the same polynomial
+    as a Hermite-basis fit) from n_fit (100) exact evaluations (both
+    HybridConfig class constants), classifies the large Monte Carlo batch
+    except inside the band |ghat| <= gamma, where the exact model decides. The batch is screened in blocks of EVAL_CHUNK rows as
     its ranges are filled, so no batch-sized ghat or mask is built; the band
     rows of all blocks go to the exact model in one call, in draw order.
     """

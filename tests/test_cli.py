@@ -140,14 +140,15 @@ class TestConfigParsing:
         assert_config_error(tmp_path, capsys, ["run", path, flag, value], message)
 
     @pytest.mark.parametrize("problem, theta, message", [
-        ("truss", {"uniform": "x"}, "theta.uniform must be a number"),
+        ("truss", {"uniform": 0.5}, r"theta must be a list or \{'csv': path\}"),
         ("truss", [0.3, "a"], r"theta\[1\] must be a number"),
         ("truss", {"csv": "missing.csv"}, "theta.csv: no file"),
         ("truss", {"csv": "three.csv"}, "theta must have 2 entries"),
         ("truss", [1.5, 0.0], r"theta\[0\] = 1.5 lies outside the design box \[0, 1\]"),
-        ("lbeam", {"uniform": 0}, r"theta\[0\] = 0 lies outside the design box \[0.001, 1\]"),
-        ("lbeam", {"uniform": -1}, r"theta\[0\] = -1 lies outside the design box"),
-        ("lbeam", {"uniform": 5}, r"theta\[0\] = 5 lies outside the design box"),
+        # the L-bracket at n_grid 12 has 80 elements
+        ("lbeam", [0] * 80, r"theta\[0\] = 0 lies outside the design box \[0.001, 1\]"),
+        ("lbeam", [-1] * 80, r"theta\[0\] = -1 lies outside the design box"),
+        ("lbeam", [5] * 80, r"theta\[0\] = 5 lies outside the design box"),
     ], ids=["uniform", "list", "csv", "csv_three_values", "truss_outside_box",
             "lbeam_zero", "lbeam_negative", "lbeam_above_one"])
     def test_malformed_theta_exits_2(self, tmp_path, capsys, monkeypatch, problem, theta, message):
@@ -475,9 +476,8 @@ class TestEstimateCommand:
         cfg = {
             "problem": "beam",
             "seed": 6,
-            "theta": {"uniform": 1.0},
             "estimator": {"method": "mc", "n_samples": 2000},
-            "problem_params": {"nx": 12, "ny": 4, "c_max": 100.0},
+            "problem_params": {"nx": 12, "ny": 4, "c_max": 100.0, "theta0": 1.0},
         }
         path = write_config(tmp_path, cfg)
         assert main(["estimate", path]) == 0

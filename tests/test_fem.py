@@ -7,6 +7,7 @@ import scipy.linalg
 
 from rbto import fem
 from rbto.fem import (
+    LBEAM,
     PENAL,
     BandedOperator,
     BeamConfig,
@@ -20,7 +21,6 @@ from rbto.fem import (
     element_stiffness,
     filter_backward,
     filter_forward,
-    lbeam_config,
     solve_compliance,
     write_density_csv,
     write_density_pgm,
@@ -323,7 +323,8 @@ class TestSensitivityAndFilter:
             assert values[0] > values[1] > values[2]  # decreasing in density
             assert values[0] - 2 * values[1] + values[2] > 0.0  # convex
 
-    @pytest.mark.parametrize("config", [BeamConfig(nx=24, ny=8), lbeam_config(n_grid=24)],
+    @pytest.mark.parametrize("config",
+                             [BeamConfig(nx=24, ny=8), BeamConfig(**LBEAM, n_grid=24)],
                              ids=["rect", "lshape_rcm"])
     def test_sensitivity_matches_the_three_operand_contraction(self, config):
         bp = BeamProblem(config)
@@ -405,7 +406,7 @@ class TestBeamProblem:
         assert worst < 1e-4
 
     def test_objective_batch_is_mean_of_single_rows(self):
-        bp = BeamProblem(lbeam_config(n_grid=12))
+        bp = BeamProblem(BeamConfig(**LBEAM, n_grid=12))
         theta = SampleStream(7).child("t").rng().uniform(0.2, 0.9, bp.mesh.n_elems)
         xis = bp.random_input.sample(8, SampleStream(7).child("xi"))
         value, grad = bp.objective_batch(theta, xis)
@@ -414,7 +415,7 @@ class TestBeamProblem:
         assert np.allclose(grad, np.mean([g for _, g in rows], axis=0), rtol=1e-12, atol=0.0)
 
     def test_expected_objective_matches_monte_carlo(self):
-        bp = BeamProblem(lbeam_config(n_grid=12))
+        bp = BeamProblem(BeamConfig(**LBEAM, n_grid=12))
         theta = SampleStream(3).child("t").rng().uniform(0.2, 0.9, bp.mesh.n_elems)
         exact = bp.objective_expected(theta)
         xis = bp.random_input.sample(2 * 10**5, SampleStream(9).child("mc"))
@@ -426,7 +427,7 @@ class TestBeamProblem:
         assert abs(exact - vals.mean()) < 3 * se
 
     def test_filtered_density_computed_once_per_design(self, monkeypatch):
-        bp = BeamProblem(lbeam_config(n_grid=12))
+        bp = BeamProblem(BeamConfig(**LBEAM, n_grid=12))
         theta = SampleStream(5).child("t").rng().uniform(0.2, 0.9, bp.mesh.n_elems)
         xis = bp.random_input.sample(4, SampleStream(5).child("xi"))
         rho = filter_forward(bp.weights, theta)
@@ -497,28 +498,28 @@ class TestBeamProblem:
         assert bp.n_solves == solves + 1
 
     def test_problem_freed_by_reference_count(self):
-        bp = BeamProblem(lbeam_config(n_grid=6))
+        bp = BeamProblem(BeamConfig(**LBEAM, n_grid=6))
         problem = bp.make_problem()
         gone = weakref.ref(bp)
         del bp, problem
         assert gone() is None  # no reference cycle waits for the cycle collector
 
     def test_lbeam_configuration(self):
-        cfg = lbeam_config()
+        cfg = BeamConfig(**LBEAM)
         assert cfg.variant == "lshape"
         assert cfg.c_max == 650.0
         assert cfg.p0_load == 0.5
         assert cfg.load_coeff == 0.5
         assert cfg.e0_std == 0.2
-        bp = BeamProblem(lbeam_config(n_grid=12))
+        bp = BeamProblem(BeamConfig(**LBEAM, n_grid=12))
         assert bp.mesh.n_elems == 80
         with pytest.raises(ValueError, match="divisible by 6"):
-            lbeam_config(n_grid=20)
+            BeamConfig(**LBEAM, n_grid=20)
 
 
 class TestOutputs:
     def test_density_grid_and_writers(self, tmp_path):
-        bp = BeamProblem(lbeam_config(n_grid=6))
+        bp = BeamProblem(BeamConfig(**LBEAM, n_grid=6))
         rho = np.linspace(0.0, 1.0, bp.mesh.n_elems)
         grid = bp.density_grid(rho)
         assert grid.shape == (6, 6)

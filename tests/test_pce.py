@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
 from rbto.pce import (
     PceFitError,
@@ -15,9 +16,20 @@ from rbto.sampling import SampleStream
 from rbto.truss import TrussProblem, limit_state
 
 
-def hermite_table(x, order):
-    """psi_k(x) = He_k(x)/sqrt(k!) for k = 0..order, one column each: the 1-D basis."""
-    return basis_matrix(np.reshape(x, (-1, 1)), multi_indices(1, order))
+def hermite_chaos_fit(u_fit, values, order):
+    """The least-squares fit of values over the normalized Hermite chaos
+    prod_d He_{j_d}(u_d)/sqrt(j_d!) of total degree <= order, as a callable."""
+    idx = np.array(multi_indices(u_fit.shape[1], order).indices)
+    norm = np.sqrt([math.factorial(k) for k in range(order + 1)])
+
+    def basis(u):
+        psi = np.ones((len(u), len(idx)))
+        for d in range(u.shape[1]):
+            psi *= (hermite_e.hermevander(u[:, d], order) / norm)[:, idx[:, d]]
+        return psi
+
+    coef = np.linalg.lstsq(basis(u_fit), values, rcond=None)[0]
+    return lambda u: basis(u) @ coef
 
 
 def test_multi_index_cardinalities():
@@ -34,37 +46,22 @@ def test_multi_index_graded_order():
     assert len(idx) == math.comb(7, 3)
 
 
-def test_hermite_order_zero_is_one():
-    assert np.array_equal(hermite_table([-3.0, 0.0, 1.7], 3)[:, 0], np.ones(3))
-
-
-def test_hermite_second_order_at_zero():
-    # He_2(x) = x^2 - 1 normalized by sqrt(2!)
-    assert hermite_table([0.0], 2)[0, 2] == pytest.approx(-0.7071068, abs=1e-7)
-
-
-def test_hermite_orthonormality_gauss_quadrature():
-    # 8-point Gauss-Hermite (probabilists') quadrature integrates the degree <= 6
-    # products exactly against the standard normal density
-    nodes, weights = np.polynomial.hermite_e.hermegauss(8)
-    psi = hermite_table(nodes, 3)
-    gram = psi.T @ (psi * (weights / np.sqrt(2.0 * np.pi))[:, None])
-    assert np.abs(gram - np.eye(4)).max() < 1e-12
-
-
-def test_empirical_gram_is_identity():
-    # entrywise tolerance from the exact Monte Carlo standard error: products
-    # of order-4 basis terms have fourth moments in the hundreds, so a flat
-    # small tolerance at this sample count would be a sub-sigma window
-    idx = multi_indices(2, 4)
-    n = 10**6
-    u = SampleStream(13).child("gram").rng().standard_normal((n, 2))
-    psi = basis_matrix(u, idx)
-    gram = psi.T @ psi / n
-    second = psi**2
-    entry_var = (second.T @ second / n) - gram**2
-    tol = np.maximum(0.01, 4.0 * np.sqrt(entry_var / n))
-    assert np.all(np.abs(gram - np.eye(len(idx))) < tol)
+@pytest.mark.parametrize("dim, seed", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
+                                       ("truss", 17)])
+def test_fit_is_hermite_chaos_least_squares_fit(dim, seed):
+    # the monomial basis spans the Hermite chaos space of the same total degree,
+    # so both least-squares fits are one polynomial; held-out points check it
+    rng = SampleStream(seed).child("chaos", str(dim)).rng()
+    if dim == "truss":
+        prob, lam, delta = TrussProblem(), 0.3425, np.deg2rad(43.25)
+        u_fit, u_out = rng.standard_normal((100, 1)), rng.standard_normal((10**4, 1))
+        g_fit = limit_state(prob, lam, delta, u_fit[:, 0])
+    else:
+        u_fit, u_out = rng.standard_normal((100, dim)), rng.standard_normal((10**4, dim))
+        g_fit = np.exp(0.5 * u_fit[:, 0]) * np.cos(u_fit.sum(axis=1)) + 0.1 * rng.standard_normal(100)
+    reference = hermite_chaos_fit(u_fit, g_fit, 4)(u_out)
+    values = fit_least_squares(u_fit, g_fit, multi_indices(u_fit.shape[1], 4)).evaluate_u(u_out)
+    assert np.abs(values - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 def test_exact_recovery_of_low_degree_model():
@@ -149,8 +146,8 @@ def test_chunked_evaluation_matches_basis_matrix(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("order", range(9))
 def test_horner_evaluation_matches_basis_matrix(dim, order):
-    # the monomial (Horner) form agrees with the Hermite basis to rounding,
-    # over draws that reach |u| ~ 4.5 where high orders cancel most
+    # nested Horner's rule on the dense tensor agrees with the monomial basis
+    # products to rounding, over draws that reach |u| ~ 4.5
     idx = multi_indices(dim, order)
     stream = SampleStream(72).child("horner", dim, order)
     coef = stream.child("c").rng().standard_normal(len(idx))
