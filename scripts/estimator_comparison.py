@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from rbto import cli, truss
-from rbto.reliability import LimitState, estimate
-from rbto.sampling import Normal, RandomInput, SampleStream
+from rbto.reliability import estimate
+from rbto.sampling import SampleStream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,7 +28,7 @@ def main():
     prob = truss.TrussProblem()
     delta = np.deg2rad(args.delta_deg)
     exact = truss.failure_probability(prob, args.lam, delta)
-    input_1d = RandomInput((Normal(),))
+    problem, theta = truss.make_problem(prob), np.array([args.lam, delta])
 
     configs = [
         ("monte-carlo", cli.load_config(CONFIGS / "truss_hybrid.json", estimator={"method": "mc"})),
@@ -40,8 +40,8 @@ def main():
     print(f"{'method':<12} {'p_hat':>12} {'rel err':>9} {'exact evals':>12} "
           f"{'surrogate evals':>16}")
     for name, cfg in configs:
-        g = LimitState(lambda t, xis: truss.limit_state(prob, args.lam, delta, xis[:, 0]))
-        est = estimate(g, None, input_1d, cfg.optimizer.estimator, SampleStream(args.seed, (name,)))
+        est = estimate(problem.limit_state, theta, problem.random_input, cfg.optimizer.estimator,
+                       SampleStream(args.seed, (name,)))
         rel = abs(est.p_hat - exact) / exact
         print(f"{name:<12} {est.p_hat:12.4e} {rel:8.1%} {est.n_exact_evals:12d} "
               f"{est.n_surrogate_evals:16d}")

@@ -145,18 +145,6 @@ def _build(cls, values: dict, where: str, name: str = "", skip: tuple = (), base
     return obj, {key: getattr(obj, key) for key in kinds}
 
 
-def _check_theta(spec) -> list | dict | None:
-    """The estimate subcommand's design: a list of numbers or {"csv": path}."""
-    if spec is None:
-        return None
-    if isinstance(spec, list):
-        return [_number(v, float, f"theta[{i}]") for i, v in enumerate(spec)]
-    _require(isinstance(spec, dict) and set(spec) == {"csv"}, "theta must be a list or {'csv': path}")
-    path = spec["csv"]
-    _require(isinstance(path, str) and os.path.isfile(path), f"theta.csv: no file {path!r}")
-    return spec
-
-
 def parse_config(raw: dict, command: str = "run") -> RunConfig:
     """The configuration of subcommand command ("run" or "estimate"), checked;
     a key that command does not read is rejected."""
@@ -191,7 +179,7 @@ def parse_config(raw: dict, command: str = "run") -> RunConfig:
     _require(isinstance(params, dict), "problem_params must be an object")
     cls, skip, base = _PROBLEMS[problem]
     spec, params_echo = _build(cls, params, "problem_params", problem, skip, base)
-    theta = _check_theta(raw.get("theta"))
+    theta = raw.get("theta")  # checked against the problem by _resolve_theta
     echo = {"problem": problem, **echo, "posthoc_samples": posthoc.n_samples,
             "estimator": {"method": method, **est_echo}, "problem_params": params_echo,
             "theta": theta}
@@ -287,7 +275,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         theta, hist = run_optimizer(problem, cfg.optimizer)
     except OptimizerError as err:
         write_history_csv(out_dir / "history.csv", err.history)
-        print(f"numerical failure: {err}", file=sys.stderr)
+        print(f"numerical failure at iteration {err.iteration}: {err}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - start
     write_history_csv(out_dir / "history.csv", hist)  # kept if the post-hoc check fails
@@ -305,7 +293,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         "final_p_f": posthoc.p_hat,
         "posthoc_samples": cfg.posthoc.n_samples,
         "n_exact_g_evals": hist.n_exact_g_evals,
-        "n_objective_evals": hist.n_objective_evals,
+        "n_objective_evals": cfg.optimizer.iterations * cfg.optimizer.n,
         "wall_time_s": wall,
         "config": cfg.echo,
     }
@@ -317,14 +305,19 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _resolve_theta(cfg: RunConfig, problem, context) -> np.ndarray:
+    """The estimate subcommand's design: `theta` checked against the problem, or theta0."""
     spec = cfg.theta
     if spec is None:
         return problem.theta0
     if isinstance(spec, list):
-        theta = np.asarray(spec)
+        theta = np.array([_number(v, float, f"theta[{i}]") for i, v in enumerate(spec)])
     else:
+        _require(isinstance(spec, dict) and set(spec) == {"csv"},
+                 "theta must be a list or {'csv': path}")
+        path = spec["csv"]
+        _require(isinstance(path, str) and os.path.isfile(path), f"theta.csv: no file {path!r}")
         try:
-            lines = Path(spec["csv"]).read_text().splitlines()
+            lines = Path(path).read_text().splitlines()
             if lines[:1] == ["lambda,delta"]:  # the header of a truss run's design.csv
                 lines = lines[1:]
             grid = np.loadtxt(lines, delimiter=",", ndmin=2)
@@ -337,7 +330,7 @@ def _resolve_theta(cfg: RunConfig, problem, context) -> np.ndarray:
             _require(grid.shape == (ny, nx), f"theta.csv must hold a {ny} x {nx} grid")
             ex, ey = context.mesh.elem_grid[:, 0], context.mesh.elem_grid[:, 1]
             theta = grid[ny - 1 - ey, ex]
-    _require(theta.shape == (problem.dim,), f"theta must have {problem.dim} entries")
+    _require(theta.shape == problem.theta0.shape, f"theta must have {problem.theta0.size} entries")
     outside = np.flatnonzero(~((problem.lower <= theta) & (theta <= problem.upper)))  # NaN too
     if outside.size:
         i = outside[0]

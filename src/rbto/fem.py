@@ -52,9 +52,9 @@ class Mesh:
     edofs: np.ndarray          # (n_e, 8) dof ids
     fixed_dofs: np.ndarray
     load_vector: np.ndarray    # unit load template; scaled by the load multiplier
-    h: float
     grid_shape: tuple[int, int]      # (nx, ny) of the bounding grid
     elem_grid: np.ndarray            # (n_e, 2) integer (ex, ey) of each element
+    h = 1.0  # element width, the unit of every coordinate
 
     def __post_init__(self):
         self.free_dofs = np.setdiff1d(np.arange(self.n_dofs), self.fixed_dofs)
@@ -69,15 +69,15 @@ class Mesh:
 
     @property
     def centers(self) -> np.ndarray:
-        return (self.elem_grid + 0.5) * self.h
+        return self.elem_grid + 0.5
 
 
-def element_stiffness(e_mod: float = 1.0, nu: float = NU, h: float = 1.0) -> np.ndarray:
-    """8x8 bilinear-quad plane-stress stiffness, 2x2 Gauss quadrature."""
-    d_mat = e_mod / (1.0 - nu**2) * np.array(
-        [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]
+def element_stiffness() -> np.ndarray:
+    """8x8 plane-stress stiffness of the unit square bilinear quad, unit modulus, 2x2 Gauss."""
+    d_mat = 1.0 / (1.0 - NU**2) * np.array(
+        [[1.0, NU, 0.0], [NU, 1.0, 0.0], [0.0, 0.0, (1.0 - NU) / 2.0]]
     )
-    corners = h * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     ke = np.zeros((8, 8))
     for gx in (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)):
         for gy in (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)):
@@ -123,7 +123,7 @@ def _edofs(elems: np.ndarray) -> np.ndarray:
     return edofs
 
 
-def build_rect_mesh(nx: int = 120, ny: int = 40, h: float = 1.0) -> Mesh:
+def build_rect_mesh(nx: int, ny: int) -> Mesh:
     """Half of a simply supported beam with a midspan point load.
 
     Symmetry rollers (x-displacement fixed) on the left edge, a vertical
@@ -131,15 +131,14 @@ def build_rect_mesh(nx: int = 120, ny: int = 40, h: float = 1.0) -> Mesh:
     top-left corner node, i.e. on the symmetry plane.
     """
     nodes, elems, elem_grid = _grid_mesh(nx, ny, np.ones((nx, ny), dtype=bool))
-    nodes *= h
     # compaction is the identity here: node (ix, iy) has id ix * (ny + 1) + iy
     fixed = np.append(2 * np.arange(ny + 1), 2 * nx * (ny + 1) + 1)
     load = np.zeros(2 * len(nodes))
     load[2 * ny + 1] = -1.0
-    return Mesh(nodes, elems, _edofs(elems), fixed, load, h, (nx, ny), elem_grid)
+    return Mesh(nodes, elems, _edofs(elems), fixed, load, (nx, ny), elem_grid)
 
 
-def build_lshape_mesh(n: int = 72, h: float = 1.0) -> Mesh:
+def build_lshape_mesh(n: int) -> Mesh:
     """L-bracket: n x n grid minus the top-right (2n/3) x (2n/3) block.
 
     Clamped along the top edge of the vertical leg; unit downward point load
@@ -154,18 +153,17 @@ def build_lshape_mesh(n: int = 72, h: float = 1.0) -> Mesh:
     fixed = np.sort(np.concatenate([2 * clamped, 2 * clamped + 1]))
     load = np.zeros(2 * len(nodes))
     load[2 * np.flatnonzero((x == n) & (y == n // 6))[0] + 1] = -1.0
-    return Mesh(nodes * h, elems, _edofs(elems), fixed, load, h, (n, n), elem_grid)
+    return Mesh(nodes, elems, _edofs(elems), fixed, load, (n, n), elem_grid)
 
 
-def build_filter(mesh: Mesh, radius_factor: float = FILTER_RADIUS) -> sparse.csr_matrix:
+def build_filter(mesh: Mesh) -> sparse.csr_matrix:
     """Row-normalized cone-weight density filter over element centers."""
-    r_f = radius_factor * mesh.h
     centers = mesh.centers
-    pairs = cKDTree(centers).query_pairs(r_f, output_type="ndarray")
+    pairs = cKDTree(centers).query_pairs(FILTER_RADIUS, output_type="ndarray")
     n_e = mesh.n_elems
     rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n_e)])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n_e)])
-    weights = r_f - np.linalg.norm(centers[rows] - centers[cols], axis=1)
+    weights = FILTER_RADIUS - np.linalg.norm(centers[rows] - centers[cols], axis=1)
     w = sparse.csr_matrix((weights, (rows, cols)), shape=(n_e, n_e))
     return (sparse.diags(1.0 / np.asarray(w.sum(axis=1)).ravel()) @ w).tocsr()
 
@@ -301,6 +299,8 @@ class BeamConfig:
         for key in ("c_max", "p0_load", "e0_mean", "e0_std"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{key} must be > 0")
+        if not self.tau >= 0.0:
+            raise ValueError("tau must be >= 0")
         check_counts(self, "nx", "ny", "n_grid")
         if self.variant not in ("rect", "lshape"):
             raise ValueError(f"unknown mesh variant {self.variant!r}")
@@ -323,21 +323,18 @@ class BeamProblem:
     cached and reused across samples via the exact rescaling C = P^2/E0 * C1.
     """
 
-    def __init__(self, config: BeamConfig = BeamConfig()):
+    def __init__(self, config: BeamConfig):
         self.config = config
         if config.variant == "rect":
             self.mesh = build_rect_mesh(config.nx, config.ny)
         else:
             self.mesh = build_lshape_mesh(config.n_grid)
         self.weights = build_filter(self.mesh)
-        self.op = BandedOperator(self.mesh, element_stiffness(1.0, NU, self.mesh.h))
+        self.op = BandedOperator(self.mesh, element_stiffness())
         self.random_input = RandomInput(
             (Normal(), Lognormal(config.e0_mean, config.e0_std))
         )
-        self.elem_volume = self.mesh.h**2
-        self._mass_grad = config.tau * self.elem_volume * filter_backward(
-            self.weights, np.ones(self.mesh.n_elems)
-        )
+        self._mass_grad = config.tau * filter_backward(self.weights, np.ones(self.mesh.n_elems))
         self._cache_key: bytes | None = None
         self._cache: tuple[float, np.ndarray] | None = None
         self._rho: np.ndarray | None = None  # filtered density of the cached design
@@ -380,7 +377,7 @@ class BeamProblem:
         """
         c1, dc1 = self.unit_solution(theta)
         s = float(np.mean(self.load_multiplier(xis[:, 0]) ** 2 / xis[:, 1]))
-        value = s * c1 + self.config.tau * self.elem_volume * float(np.sum(self._rho))
+        value = s * c1 + self.config.tau * float(np.sum(self._rho))
         grad = filter_backward(self.weights, s * dc1) + self._mass_grad
         return value, grad
 
@@ -394,12 +391,11 @@ class BeamProblem:
         cfg = self.config
         e0 = self.random_input.components[1]
         mean_scale = cfg.p0_load**2 * (1.0 + cfg.load_coeff**2) * np.exp(e0.sigma_ln**2) / e0.mean
-        return float(mean_scale * c1 + cfg.tau * self.elem_volume * np.sum(self._rho))
+        return float(mean_scale * c1 + cfg.tau * np.sum(self._rho))
 
     def make_problem(self) -> OptimizationProblem:
         n_e = self.mesh.n_elems
         return OptimizationProblem(
-            dim=n_e,
             theta0=np.full(n_e, self.config.theta0),
             lower=np.full(n_e, THETA_MIN),
             upper=np.ones(n_e),

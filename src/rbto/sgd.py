@@ -25,7 +25,7 @@ it is ready when that refresh comes; no draw starts past the last refresh.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,11 +60,10 @@ class OptimizationProblem:
     gradient. objective_expected evaluates the exact expectation of the sampled
     objective at a design; it is recorded as a noise-free convergence trace and
     never enters the descent direction.
-    theta0, lower and upper are float arrays of length dim, theta0 inside the
+    theta0, lower and upper are equal-length float arrays, theta0 inside the
     box [lower, upper] (each problem checks its theta0 where it is configured).
     """
 
-    dim: int
     theta0: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -104,29 +103,21 @@ class OptimizerConfig:
 
 @dataclass
 class RunHistory:
-    """Per-iteration traces and run totals.
+    """Per-iteration traces and the count of exact limit-state evaluations.
 
     objective holds the mini-batch estimate and objective_expected the exact
     expectation at the same design; a failed run's partial history holds NaN in
     both, and in alpha and beta_norm, from the failing iteration on.
     """
 
-    objective: np.ndarray = field(default_factory=lambda: np.array([]))
-    objective_expected: np.ndarray = field(default_factory=lambda: np.array([]))
-    alpha: np.ndarray = field(default_factory=lambda: np.array([]))
-    beta_norm: np.ndarray = field(default_factory=lambda: np.array([]))
-    failure_update: np.ndarray = field(default_factory=lambda: np.array([], dtype=bool))
-    p_f_iterations: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    p_f_values: np.ndarray = field(default_factory=lambda: np.array([]))
-    final_theta: np.ndarray | None = None
-    final_beta: np.ndarray | None = None
-    n_exact_g_evals: int = 0
-    n_objective_evals: int = 0
-
-
-def project(theta: np.ndarray, lower, upper) -> np.ndarray:
-    """Clip componentwise into the design box; idempotent."""
-    return np.clip(theta, lower, upper)
+    objective: np.ndarray
+    objective_expected: np.ndarray
+    alpha: np.ndarray
+    beta_norm: np.ndarray
+    failure_update: np.ndarray
+    p_f_iterations: np.ndarray
+    p_f_values: np.ndarray
+    n_exact_g_evals: int
 
 
 def stochastic_gradient(
@@ -149,16 +140,11 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
     """Run the optimization loop; deterministic given cfg.seed."""
     root = SampleStream(cfg.seed)
     theta = problem.theta0.copy()
-    model = fd.FailureDensityModel(cfg.alpha0, np.full(problem.dim, cfg.beta0), cfg.eta_f)
+    model = fd.FailureDensityModel(cfg.alpha0, np.full(theta.size, cfg.beta0), cfg.eta_f)
 
     iters = cfg.iterations
-    hist = RunHistory(
-        objective=np.empty(iters),
-        objective_expected=np.empty(iters),
-        alpha=np.empty(iters),
-        beta_norm=np.empty(iters),
-        failure_update=np.zeros(iters, dtype=bool),
-    )
+    objective, expected, alpha, beta_norms = (np.empty(iters) for _ in range(4))
+    failure_update = np.zeros(iters, dtype=bool)
     p_iters: list[int] = []
     p_vals: list[float] = []
     log_ratio: float | None = None  # smoothed ln(p_hat / p_a) across refreshes
@@ -168,12 +154,9 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
     evals0 = problem.limit_state.n_evals
 
     def finalize() -> RunHistory:
-        hist.p_f_iterations = np.array(p_iters, dtype=int)
-        hist.p_f_values = np.array(p_vals)
-        hist.final_theta = theta.copy()
-        hist.final_beta = model.beta.copy()
-        hist.n_exact_g_evals = problem.limit_state.n_evals - evals0
-        return hist
+        return RunHistory(objective, expected, alpha, beta_norms, failure_update,
+                          np.array(p_iters, dtype=int), np.array(p_vals),
+                          problem.limit_state.n_evals - evals0)
 
     ahead = None  # the next refresh's Monte Carlo draw, started right after a refresh
     stale = True  # the penalty and ||beta|| change only with a refresh or a failure update
@@ -197,35 +180,34 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
             # a robust run (kappa_f 0) has no penalty for the failure-density model to steer
             if cfg.kappa_f > 0.0 and np.any(problem.limit_state.batch(theta, batch) <= 0.0):
                 model = fd.update(model, [theta])
-                hist.failure_update[k - 1] = True
+                failure_update[k - 1] = True
                 stale = True
 
             if stale:
                 if log_ratio is not None:  # set by a refresh, so kappa_f > 0
                     penalty = fd.penalty_gradient(model, log_ratio, cfg.kappa_f)
                 else:
-                    penalty = np.zeros(problem.dim)
+                    penalty = np.zeros(theta.size)
                 beta_norm = float(np.linalg.norm(model.beta))
                 stale = False
 
             h, obj = stochastic_gradient(problem, theta, batch, penalty)
-            hist.n_objective_evals += cfg.n
-            hist.objective[k - 1] = obj
-            hist.objective_expected[k - 1] = problem.objective_expected(theta)
-            hist.alpha[k - 1] = model.alpha
-            hist.beta_norm[k - 1] = beta_norm
+            objective[k - 1] = obj
+            expected[k - 1] = problem.objective_expected(theta)
+            alpha[k - 1] = model.alpha
+            beta_norms[k - 1] = beta_norm
 
             if not np.all(np.isfinite(h)):
                 bad = int(np.nonzero(~np.isfinite(h))[0][0])
-                raise FloatingPointError(f"non-finite gradient component {bad} at iteration {k}")
-            theta = project(theta - cfg.eta * h, problem.lower, problem.upper)
+                raise FloatingPointError(f"non-finite gradient component {bad}")
+            theta = np.clip(theta - cfg.eta * h, problem.lower, problem.upper)
             if not np.all(np.isfinite(theta)):
                 bad = int(np.nonzero(~np.isfinite(theta))[0][0])
-                raise FloatingPointError(f"non-finite design component {bad} at iteration {k}")
+                raise FloatingPointError(f"non-finite design component {bad}")
         # FloatingPointError covers the density-model overflow, a failed
         # surrogate fit and a singular FE system, besides the checks above
         except (FloatingPointError, SubsetStallError) as err:
-            for arr in (hist.objective, hist.objective_expected, hist.alpha, hist.beta_norm):
+            for arr in (objective, expected, alpha, beta_norms):
                 arr[k - 1 :] = np.nan
             raise OptimizerError(str(err), k, finalize()) from err
 

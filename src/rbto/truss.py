@@ -85,7 +85,6 @@ def make_problem(problem: TrussProblem | None = None) -> OptimizationProblem:
     """
     prob = problem or TrussProblem()
     return OptimizationProblem(
-        dim=2,
         theta0=np.asarray(prob.theta0, dtype=float),
         lower=np.array(LOWER),
         upper=np.array(UPPER),

@@ -109,6 +109,7 @@ class TestConfigParsing:
         ({"problem": "beam", "problem_params": {"e0_std": -0.1}}, "e0_std must be > 0"),
         ({"problem": "lbeam", "problem_params": {"e0_mean": 0}}, "e0_mean must be > 0"),
         ({"problem": "beam", "problem_params": {"p0_load": 0}}, "p0_load must be > 0"),
+        ({"problem": "beam", "problem_params": {"tau": -5.0}}, "tau must be >= 0"),
         ({"problem_params": {"p_load": 0}}, "p_load must be > 0"),
         ({"p_a": 1.0}, r"p_a must lie in \(0, 1\)"),
         ({"n": 0}, "n must be >= 1"),
@@ -124,7 +125,7 @@ class TestConfigParsing:
     ], ids=["iterations", "n_grid", "theta0", "kappa_c", "iterations_float",
             "seed_bool", "posthoc_samples", "problem_list", "method_list",
             "iterations_huge", "n_samples_huge", "nx_huge", "eta_f_negative", "eta_f_zero",
-            "beam_e0_std", "lbeam_e0_mean", "beam_p0_load", "truss_p_load", "p_a_one", "n_zero",
+            "beam_e0_std", "lbeam_e0_mean", "beam_p0_load", "beam_tau", "truss_p_load", "p_a_one", "n_zero",
             "mc_n_samples_zero", "mode", "out_dir", "p0", "n_fit", "theta"])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, capsys, over, message):
         path = write_config(tmp_path, {"problem": "truss", "seed": 1, **over})
@@ -384,7 +385,7 @@ class TestRunCommand:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure at iteration 100: " in capsys.readouterr().err
         rows = (out / "history.csv").read_text().splitlines()
         assert len(rows) == 1 + 300
         for column in (1, 2):  # objective, objective_expected

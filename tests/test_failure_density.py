@@ -129,5 +129,4 @@ def test_model_fixed_over_window_without_failures():
     _, hist = run(prob, cfg)
     assert not hist.failure_update.any()
     assert np.all(hist.alpha == 0.03)
-    assert np.array_equal(hist.final_beta, np.full(2, 0.02))
     assert np.allclose(hist.beta_norm, np.sqrt(2) * 0.02, rtol=1e-15)

@@ -144,21 +144,19 @@ class TestMeshes:
 
 class TestElementStiffness:
     def test_matches_closed_form(self):
-        assert np.allclose(element_stiffness(1.0, 0.3, 1.0), classic_q4_plane_stress(), atol=1e-13)
+        assert np.allclose(element_stiffness(), classic_q4_plane_stress(), atol=1e-13)
 
     def test_symmetry(self):
-        ke = element_stiffness(2.0, 0.25, 1.0)
-        assert np.abs(ke - ke.T).max() == 0.0
+        ke = element_stiffness()
+        # symmetric up to the rounding of the quadrature sum (2.8e-17 at NU = 0.3)
+        assert np.abs(ke - ke.T).max() <= 2 * np.finfo(float).eps * np.abs(ke).max()
 
     def test_rigid_body_modes(self):
-        ke = element_stiffness(1.0, 0.3, 1.0)
+        ke = element_stiffness()
         tx = np.array([1.0, 0.0] * 4)
         ty = np.array([0.0, 1.0] * 4)
         assert np.abs(ke @ tx).max() < 1e-12
         assert np.abs(ke @ ty).max() < 1e-12
-
-    def test_linear_in_modulus(self):
-        assert np.allclose(element_stiffness(2.0), 2.0 * element_stiffness(1.0))
 
 
 class TestSolve:
@@ -368,7 +366,7 @@ class TestSensitivityAndFilter:
 
     def test_spike_spreads_within_radius_only(self):
         m = build_rect_mesh(9, 9)
-        w = build_filter(m, radius_factor=1.5)
+        w = build_filter(m)
         spike = np.zeros(m.n_elems)
         center = 4 * 9 + 4
         spike[center] = 1.0
@@ -422,7 +420,7 @@ class TestBeamProblem:
         c1, _ = bp.unit_solution(theta)
         scale = bp.load_multiplier(xis[:, 0]) ** 2 / xis[:, 1]
         rho = bp.weights @ theta
-        vals = scale * c1 + bp.config.tau * bp.elem_volume * rho.sum()
+        vals = scale * c1 + bp.config.tau * rho.sum()
         se = vals.std() / np.sqrt(len(vals))
         assert abs(exact - vals.mean()) < 3 * se
 
@@ -443,7 +441,7 @@ class TestBeamProblem:
         assert len(calls) == 1  # the solve's own filter product, reused by both
         c1, _ = bp.unit_solution(theta)
         s = float(np.mean(bp.load_multiplier(xis[:, 0]) ** 2 / xis[:, 1]))
-        assert value == s * c1 + bp.config.tau * bp.elem_volume * float(np.sum(rho))
+        assert value == s * c1 + bp.config.tau * float(np.sum(rho))
 
     def test_mass_gradient_exact(self):
         bp = BeamProblem(BeamConfig(nx=6, ny=2, tau=0.3))

@@ -85,7 +85,7 @@ def test_failure_probability_saturates_at_one():
 
 def test_make_problem_wiring():
     prob = make_problem()
-    assert prob.dim == 2
+    assert prob.theta0.size == 2
     assert np.allclose(prob.theta0, [0.1, np.pi / 4])
     value, grad = prob.objective_batch(np.array([0.5, 0.0]), np.array([[0.3]]))
     assert value == 0.5
