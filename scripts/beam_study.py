@@ -15,6 +15,12 @@ default to the config's values.
 Usage:
     python scripts/beam_study.py rect|lshape [--iterations N] [--out DIR] [--seed N]
 """
+import os
+
+# one BLAS thread, set before numpy loads, as bench/run.py sets it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
 import csv
 import json

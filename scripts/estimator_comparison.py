@@ -6,6 +6,12 @@ the method switched to "mc").
 
 Usage: python scripts/estimator_comparison.py [--lam 0.3425] [--delta-deg 43.25]
 """
+import os
+
+# one BLAS thread, set before numpy loads, as bench/run.py sets it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
 from pathlib import Path
 
@@ -40,7 +46,7 @@ def main():
     print(f"{'method':<12} {'p_hat':>12} {'rel err':>9} {'exact evals':>12} "
           f"{'surrogate evals':>16}")
     for name, cfg in configs:
-        est = estimate(problem.limit_state, theta, problem.random_input, cfg.optimizer.estimator,
+        est = estimate(problem.limit_state, theta, problem.random_input, cfg.estimator,
                        SampleStream(args.seed, (name,)))
         rel = abs(est.p_hat - exact) / exact
         print(f"{name:<12} {est.p_hat:12.4e} {rel:8.1%} {est.n_exact_evals:12d} "

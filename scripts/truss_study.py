@@ -8,6 +8,12 @@ directory; the row shows the design from its summary.json and the exact P_F.
 
 Usage: python scripts/truss_study.py [--quick]
 """
+import os
+
+# one BLAS thread, set before numpy loads, as bench/run.py sets it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
 import contextlib
 import io

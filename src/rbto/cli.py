@@ -26,6 +26,7 @@ import numpy as np
 
 from . import fem, truss
 from .reliability import (
+    EstimatorConfig,
     HybridConfig,
     McConfig,
     SubsetConfig,
@@ -74,10 +75,12 @@ class RunConfig:
     an equal RunConfig."""
 
     problem: str
-    optimizer: OptimizerConfig
-    posthoc: McConfig
+    estimator: EstimatorConfig
+    seed: int
     problem_spec: truss.TrussProblem | fem.BeamConfig
     echo: dict
+    optimizer: OptimizerConfig | None = None  # run subcommand: the loop's settings
+    posthoc: McConfig | None = None  # run subcommand: the post-run check
     theta: list | dict | None = None  # estimate subcommand: fixed design
 
     # the benchmark harness reads these two off load_config
@@ -168,23 +171,31 @@ def parse_config(raw: dict, command: str = "run") -> RunConfig:
         est = {**default, **est}
     est_cfg, est_echo = _build(_ESTIMATORS[method],
                                {k: v for k, v in est.items() if k != "method"}, "estimator", method)
-    optimizer, echo = _build(OptimizerConfig, {k: merged[k] for k in _kinds(OptimizerConfig)
-                                               if k in merged}, "", base={"estimator": est_cfg})
-    n_posthoc = _number(merged.get("posthoc_samples", McConfig.n_samples), int, "posthoc_samples")
-    try:
-        posthoc = McConfig(n_posthoc)
-    except ValueError as err:  # McConfig's n_samples is posthoc_samples in a config
-        raise ConfigError(str(err).replace("n_samples", "posthoc_samples")) from None
+    optimizer = posthoc = None
+    if command == "run":
+        optimizer, echo = _build(OptimizerConfig, {k: merged[k] for k in _kinds(OptimizerConfig)
+                                                   if k in merged}, "", base={"estimator": est_cfg})
+        seed = optimizer.seed
+        n_posthoc = _number(merged.get("posthoc_samples", McConfig.n_samples), int,
+                            "posthoc_samples")
+        try:
+            posthoc = McConfig(n_posthoc)
+        except ValueError as err:  # McConfig's n_samples is posthoc_samples in a config
+            raise ConfigError(str(err).replace("n_samples", "posthoc_samples")) from None
+        echo["posthoc_samples"] = posthoc.n_samples
+    else:  # the same check of the seed as OptimizerConfig's
+        seed = _number(raw["seed"], int, "seed")
+        _require(seed >= 0, "seed must be >= 0")
+        echo = {"seed": seed}
     params = raw.get("problem_params", {})
     _require(isinstance(params, dict), "problem_params must be an object")
     cls, skip, base = _PROBLEMS[problem]
     spec, params_echo = _build(cls, params, "problem_params", problem, skip, base)
     theta = raw.get("theta")  # checked against the problem by _resolve_theta
-    echo = {"problem": problem, **echo, "posthoc_samples": posthoc.n_samples,
-            "estimator": {"method": method, **est_echo}, "problem_params": params_echo,
-            "theta": theta}
+    echo = {"problem": problem, **echo, "estimator": {"method": method, **est_echo},
+            "problem_params": params_echo, "theta": theta}
     echo = {key: value for key, value in echo.items() if key in keys and value is not None}
-    return RunConfig(problem, optimizer, posthoc, spec, echo, theta)
+    return RunConfig(problem, est_cfg, seed, spec, echo, optimizer, posthoc, theta)
 
 
 def load_config(path, command: str = "run", **overrides) -> RunConfig:
@@ -283,12 +294,12 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     # post-run check with a fresh high-accuracy Monte Carlo call
     posthoc = run_estimator(
         problem.limit_state, theta, problem.random_input,
-        cfg.posthoc, SampleStream(cfg.optimizer.seed, ("posthoc",)),
+        cfg.posthoc, SampleStream(cfg.seed, ("posthoc",)),
     )
 
     summary = {
         "problem": cfg.problem,
-        "seed": cfg.optimizer.seed,
+        "seed": cfg.seed,
         "design": _summary_design(cfg, context, theta, out_dir),
         "final_p_f": posthoc.p_hat,
         "posthoc_samples": cfg.posthoc.n_samples,
@@ -344,8 +355,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
     theta = _resolve_theta(cfg, problem, context)
     try:
         result = run_estimator(
-            problem.limit_state, theta, problem.random_input, cfg.optimizer.estimator,
-            SampleStream(cfg.optimizer.seed, ("estimate",)),
+            problem.limit_state, theta, problem.random_input, cfg.estimator,
+            SampleStream(cfg.seed, ("estimate",)),
         )
     except SubsetStallError as err:
         print(f"estimator stalled: {err}", file=sys.stderr)

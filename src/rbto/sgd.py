@@ -19,9 +19,10 @@ refresh and makes the design cycle around the constraint boundary; the
 average damps that cycle and keeps the -beta direction and the hinge at p_a.
 The penalty is inactive until the first refresh, which gives the
 failure-density parameters a short burn-in on early failures before they
-start steering the design. Right after each refresh the Monte Carlo batch of
-the next one starts drawing on a worker thread (reliability.start_draw), so
-it is ready when that refresh comes; no draw starts past the last refresh.
+start steering the design. The Monte Carlo batch of the first refresh starts
+drawing on a worker thread (reliability.start_draw) when the run starts, and
+the batch of each later one right after the refresh before it, so each is
+ready when its refresh comes; no draw starts past the last refresh.
 """
 from __future__ import annotations
 
@@ -158,7 +159,9 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
                           np.array(p_iters, dtype=int), np.array(p_vals),
                           problem.limit_state.n_evals - evals0)
 
-    ahead = None  # the next refresh's Monte Carlo draw, started right after a refresh
+    # the next refresh's Monte Carlo draw, started ahead of it
+    ahead = (start_draw(problem.random_input, cfg.estimator, root.child("pf", cfg.m))
+             if cfg.kappa_f > 0.0 and cfg.m <= iters else None)
     stale = True  # the penalty and ||beta|| change only with a refresh or a failure update
     for k in range(1, iters + 1):
         try:

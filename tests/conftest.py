@@ -1,3 +1,11 @@
+"""Shared fixtures. BLAS is pinned to one thread before numpy loads, as
+bench/run.py pins it, so two test processes on a small host do not
+oversubscribe its cores (test_fem.py::test_blas_runs_one_thread checks it)."""
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import threading
 
 import pytest

@@ -15,7 +15,7 @@ from rbto.cli import (
     main,
     parse_config,
 )
-from rbto.reliability import HybridConfig
+from rbto.reliability import HybridConfig, McConfig
 from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK
 from rbto.sgd import run
 
@@ -177,6 +177,25 @@ class TestConfigParsing:
             main(["estimate", str(CONFIGS / "truss_estimate.json"), *flags])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed, flags, message", [
+        (-1, [], "seed must be >= 0"),
+        (1, ["--seed", "-2"], "seed must be >= 0"),
+        (1.5, [], "seed must be an integer, got 1.5"),
+        (True, [], "seed must be a number, got True"),
+    ], ids=["config", "flag", "float", "bool"])
+    def test_estimate_checks_its_seed(self, tmp_path, capsys, seed, flags, message):
+        cfg = {"problem": "truss", "seed": seed, "theta": [0.3425, 0.754855]}
+        assert_config_error(tmp_path, capsys,
+                            ["estimate", write_config(tmp_path, cfg), *flags], message)
+
+    def test_estimate_builds_only_what_it_reads(self):
+        raw = json.loads((CONFIGS / "truss_estimate.json").read_text())
+        cfg = parse_config(raw, "estimate")
+        assert cfg.optimizer is None and cfg.posthoc is None  # no run settings, no post-hoc check
+        assert cfg.seed == raw["seed"]
+        assert cfg.estimator == McConfig(n_samples=10**6)
+        assert parse_config(json.loads(json.dumps(cfg.echo)), "estimate") == cfg
 
     @pytest.mark.parametrize("over, message", [
         ({"eta": float("nan")}, "eta must be finite, got nan"),

@@ -1,4 +1,7 @@
+import ctypes
 import dataclasses
+import itertools
+import os
 import weakref
 
 import numpy as np
@@ -13,7 +16,6 @@ from rbto.fem import (
     BeamConfig,
     BeamProblem,
     SolverError,
-    band_order,
     build_filter,
     build_lshape_mesh,
     build_rect_mesh,
@@ -81,6 +83,27 @@ def compliance_direct(bp, theta, xi):
     rho = filter_forward(bp.weights, theta)
     _, c = scaled_load_operator(bp.op, float(bp.load_multiplier(xi[0]))).solve(xi[1] * rho**PENAL)
     return c
+
+
+def test_blas_runs_one_thread():
+    # conftest.py pins BLAS to one thread before numpy loads; read the thread
+    # count of every OpenBLAS loaded (numpy's and scipy's) through its C API
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the loaded BLAS in")
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)  # the copy already loaded
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                counts[path] = get()
+                break
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    assert set(counts.values()) == {1}, counts
 
 
 class TestMeshes:
@@ -191,14 +214,14 @@ class TestSolve:
         _, c = solve_compliance(bp.op, np.ones(m.n_elems))
         assert c == pytest.approx(c_ref, rel=1e-8)
 
-    def test_rcm_ordered_lshape_against_dense_oracle(self):
-        m = build_lshape_mesh(12)
+    @pytest.mark.parametrize("n", [6, 12, 18])
+    def test_lshape_blocks_against_dense_oracle(self, n):
+        m = build_lshape_mesh(n)
         op = BandedOperator(m, element_stiffness())
-        assert not np.array_equal(op.free_dofs, m.free_dofs)  # RCM order is in use
-        assert np.array_equal(np.sort(op.free_dofs), m.free_dofs)
+        assert len(m.blocks) == 3  # two legs, then the corner that separates them
         ke = classic_q4_plane_stress()
         k_dense = np.zeros((m.n_dofs, m.n_dofs))
-        rho = SampleStream(61).child("rcm").rng().uniform(0.2, 1.0, m.n_elems)
+        rho = SampleStream(61).child("blocks", n).rng().uniform(0.2, 1.0, m.n_elems)
         for edof, r in zip(m.edofs, rho):
             k_dense[np.ix_(edof, edof)] += r**3 * ke
         free = m.free_dofs
@@ -208,13 +231,25 @@ class TestSolve:
         assert c == pytest.approx(m.load_vector @ u_ref, rel=1e-10)
         assert np.allclose(u, u_ref, rtol=0.0, atol=1e-10 * np.abs(u_ref).max())
 
-    def test_band_order_picks_the_narrower_band(self):
-        lshape = BandedOperator(build_lshape_mesh(72), element_stiffness())
-        assert lshape.bandwidth <= 103  # 147 in natural order
-        rect_mesh = build_rect_mesh(120, 40)
-        rect = BandedOperator(rect_mesh, element_stiffness())
-        assert rect.bandwidth == 85  # RCM would give 162
-        assert np.array_equal(band_order(rect_mesh), rect_mesh.free_dofs)
+    @pytest.mark.parametrize("n, widths", [
+        (6, (9, 9, 15)), (12, (13, 13, 23)), (18, (17, 17, 31)), (72, (53, 53, 103)),
+    ], ids=["6", "12", "18", "72"])
+    def test_lshape_block_bandwidths(self, n, widths):
+        m = build_lshape_mesh(n)
+        assert np.array_equal(np.sort(np.concatenate(m.blocks)), m.free_dofs)
+        assert BandedOperator(m, element_stiffness()).bandwidths == widths  # 147 at n = 72 as one band
+
+    def test_blocks_other_than_the_last_must_not_couple(self):
+        m = build_rect_mesh(4, 2)
+        free = m.free_dofs
+        m = dataclasses.replace(m, blocks=(free[:6], free[6:12], free[12:]))
+        with pytest.raises(ValueError, match="couple only to the last"):
+            BandedOperator(m, element_stiffness())
+
+    def test_rect_is_one_natural_order_band(self):
+        m = build_rect_mesh(120, 40)
+        assert len(m.blocks) == 1 and np.array_equal(m.blocks[0], m.free_dofs)
+        assert BandedOperator(m, element_stiffness()).bandwidths == (85,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_scale_raises(self, bad):
@@ -244,6 +279,20 @@ class TestSolve:
             op.solve(scale)
         assert f"smallest diagonal {assembled:.3e})" in str(err.value)
 
+    @pytest.mark.parametrize("cell", [(1, 1), (1, 9), (9, 1)],
+                             ids=["corner", "vertical_leg", "horizontal_leg"])
+    def test_indefinite_lshape_reports_the_smallest_diagonal_of_all_blocks(self, cell):
+        # each block in turn holds the negative diagonal, and the blocks before it factor
+        m = build_lshape_mesh(12)
+        op = BandedOperator(m, element_stiffness())
+        scale = np.ones(m.n_elems)
+        scale[np.flatnonzero((m.elem_grid == cell).all(axis=1))] = -5.0
+        assembled = np.diagonal(dense_free_stiffness(op, scale)).min()
+        assert assembled < 0.0
+        with pytest.raises(SolverError) as err:
+            op.solve(scale)
+        assert f"smallest diagonal {assembled:.3e})" in str(err.value)
+
     def test_band_is_factored_in_place(self, monkeypatch):
         m = build_lshape_mesh(12)
         op = BandedOperator(m, element_stiffness())
@@ -256,20 +305,20 @@ class TestSolve:
 
         monkeypatch.setattr(fem, "cholesky_banded", recording)
         op.solve(np.ones(m.n_elems))
-        [(ab, kwargs, result)] = calls
-        assert ab.shape == (op.bandwidth + 1, op.n_free)
-        assert ab.flags.f_contiguous  # LAPACK's layout: no transposing copy
-        assert kwargs.get("overwrite_ab") is True
-        assert kwargs.get("lower") is True
-        assert np.shares_memory(result, ab)
+        assert len(calls) == 3  # one per block
+        for (ab, kwargs, result), block, width in zip(calls, m.blocks, op.bandwidths):
+            assert ab.shape == (width + 1, len(block))
+            assert ab.flags.f_contiguous  # LAPACK's layout: no transposing copy
+            assert kwargs.get("overwrite_ab") is True
+            assert kwargs.get("lower") is True
+            assert np.shares_memory(result, ab)
 
-    @pytest.mark.parametrize("mesh", [build_lshape_mesh(12), build_rect_mesh(12, 4)],
-                             ids=["lshape_rcm", "rect"])
+    @pytest.mark.parametrize("mesh", [build_rect_mesh(12, 4)], ids=["rect"])
     def test_solve_is_bitwise_scipy_on_a_row_major_band(self, mesh):
         op = BandedOperator(mesh, element_stiffness())
         scale = SampleStream(62).child("band").rng().uniform(0.01, 1.0, mesh.n_elems) ** PENAL
         f_free = op.f_free.copy()
-        ab = row_major_lower_band(dense_free_stiffness(op, scale), op.bandwidth)
+        ab = row_major_lower_band(dense_free_stiffness(op, scale), op.bandwidths[0])
         chol = scipy.linalg.cholesky_banded(ab, lower=True)
         u_ref = scipy.linalg.cho_solve_banded((chol, True), f_free)
         u, c = op.solve(scale)
@@ -323,11 +372,11 @@ class TestSensitivityAndFilter:
 
     @pytest.mark.parametrize("config",
                              [BeamConfig(nx=24, ny=8), BeamConfig(**LBEAM, n_grid=24)],
-                             ids=["rect", "lshape_rcm"])
+                             ids=["rect", "lshape"])
     def test_sensitivity_matches_the_three_operand_contraction(self, config):
         bp = BeamProblem(config)
         if config.variant == "lshape":
-            assert not np.array_equal(bp.op.free_dofs, bp.mesh.free_dofs)  # RCM order
+            assert len(bp.mesh.blocks) == 3  # two legs and the corner
         rho = SampleStream(43).child("energy").rng().uniform(0.1, 1.0, bp.mesh.n_elems)
         u, _ = solve_compliance(bp.op, rho)
         ue = u[bp.mesh.edofs]

@@ -344,7 +344,7 @@ def test_draw_ahead_changes_no_result(monkeypatch, threads_left):
 
     monkeypatch.setattr(sgd, "estimate", drop_draw)
     undrawn = run(truss.make_problem(), cfg)
-    assert len(dropped) == 2  # the refreshes at 200 and 300
+    assert len(dropped) == 3  # the refreshes at 100, 200 and 300
     assert threads_left() == 0  # the dropped draws' workers exit after their fills
     assert np.array_equal(shipped[0], undrawn[0])
     for f in dataclasses.fields(sgd.RunHistory):

@@ -355,7 +355,7 @@ class TestDrawAheadThreads:
 
     @staticmethod
     def config():
-        # refreshes at 100, 200 and 300; draws started ahead at 100 and 200
+        # refreshes at 100, 200 and 300; draws started ahead at the start, 100 and 200
         return OptimizerConfig(
             eta=1e-5, n=1, m=100, kappa_f=2500.0, p_a=1e-3, iterations=300, seed=1,
             estimator=HybridConfig(n_samples=PAST_FIRST_FILL + 5),
@@ -376,9 +376,9 @@ class TestDrawAheadThreads:
         problem.objective_batch = counted
         monkeypatch.setattr(sgd, "start_draw", recorded)
         run(problem, self.config())
-        # right after the refreshes at 100 and 200, before their iterations'
-        # objective; none after the last refresh
-        assert started == [(("pf", 200), 99), (("pf", 300), 199)]
+        # before the first iteration's objective, then right after the
+        # refreshes at 100 and 200; none after the last refresh
+        assert started == [(("pf", 100), 0), (("pf", 200), 99), (("pf", 300), 199)]
 
     def test_normal_run(self, threads_left):
         run(make_problem(), self.config())
