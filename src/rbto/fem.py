@@ -17,8 +17,9 @@ x-major. Each mesh lists its free dofs as solver blocks (Mesh.blocks), each
 block in the order that keeps its band narrow: the half-beam is one block in
 natural order; the L-bracket is one level of nested dissection, its two legs
 and then the corner square that separates them (George 1973). The banded
-solver keeps each block's stiffness in LAPACK's lower band storage;
-displacement vectors returned to callers always use the mesh numbering.
+solver keeps each block's stiffness in LAPACK's lower band storage, at least
+BLOCKED_BAND wide so that LAPACK factors it blocked; displacement vectors
+returned to callers always use the mesh numbering.
 """
 from __future__ import annotations
 
@@ -39,6 +40,11 @@ THETA_MIN = 1e-3  # design floor keeping the stiffness matrix nonsingular
 NU = 0.3  # Poisson ratio
 PENAL = 3.0  # power-law exponent of the material interpolation
 FILTER_RADIUS = 1.5  # density-filter radius in element widths
+# Every band is stored at least this wide, its extra rows zero. Reference
+# LAPACK's ILAENV, which OpenBLAS ships, gives dpbtrf block size 1 (the
+# unblocked dpbtf2) at half-bandwidths up to 64; at 65 it runs blocked, which
+# factors a 53-wide L-bracket leg faster although it counts more flops.
+BLOCKED_BAND = 65
 
 
 class SolverError(FloatingPointError):
@@ -198,9 +204,9 @@ def filter_forward(weight_matrix: sparse.csr_matrix, theta: np.ndarray) -> np.nd
     return weight_matrix @ theta
 
 
-def filter_backward(weight_matrix: sparse.csr_matrix, d_rho: np.ndarray) -> np.ndarray:
-    """Chain rule through the filter: dJ/dtheta = W^T dJ/drho."""
-    return weight_matrix.T @ d_rho
+def filter_backward(weights_t: sparse.csr_matrix, d_rho: np.ndarray) -> np.ndarray:
+    """Chain rule through the filter: dJ/dtheta = W^T dJ/drho, given W^T (build it once)."""
+    return weights_t @ d_rho
 
 
 class _Leg(NamedTuple):
@@ -221,20 +227,25 @@ class BandedOperator:
     banded Cholesky factorizations that LAPACK runs on it in place. The
     buffer holds one column-major band per solver block (Mesh.blocks) in
     LAPACK's lower storage (the diagonal in row 0), then one dense coupling
-    block per leg. The free dofs are numbered block by block (`free_dofs`);
-    loads are gathered and displacements scattered through that order.
+    block per leg. A band narrower than BLOCKED_BAND is stored that wide,
+    its extra rows zero; `bandwidths` are the structural half-bandwidths.
+    The free dofs are numbered block by block (`free_dofs`); loads are
+    gathered and displacements scattered through that order.
 
     With one block (the half-beam, half-bandwidth 85) a solve is one
     factorization and one back-solve. With several, every block but the last
     is a leg that couples only to the last, the separator, through its last
     t dofs. A solve factors each leg band, subtracts each leg's Schur term
-    (L_tt^-1 B)^T (L_tt^-1 B) from the separator band, with L_tt the trailing
-    t x t block of the leg's factor and B its (t, ...) coupling block,
-    factors the separator band and back-substitutes. The separator band is
-    wide enough to hold those terms. The L-bracket's bands have
-    half-bandwidths 53, 53 and 103 (t = 50 for each leg): 27.4 M
-    factorization flops per design against 63.7 M for one band of
-    half-bandwidth 103 and 130 M for one band in natural order (147).
+    W^T W, W = L_tt^-1 B, from the separator band, with L_tt the trailing
+    t x t block of the leg's factor L and B its (t, ...) coupling block, and
+    factors the separator band, which is wide enough to hold those terms.
+    It back-substitutes with one forward sweep z = L^-1 f per leg, the
+    separator solve with f_sep - W^T z_t, and one backward sweep
+    L^-T (z - [0; W u_sep]) per leg. The L-bracket's bands have
+    half-bandwidths 53, 53 and 103 (t = 50 for each leg), the legs stored 65
+    wide: 27.4 M factorization flops per design at the structural widths
+    (34.0 M as stored) against 63.7 M for one band of half-bandwidth 103
+    and 130 M for one band in natural order (147).
     """
 
     def __init__(self, mesh: Mesh, ke: np.ndarray):
@@ -272,10 +283,12 @@ class BandedOperator:
             legs.append((k, joins, trail, cols))
         self.bandwidths = tuple(widths)
 
-        # column-major (w+1, n) lower bands, then the coupling blocks, in one
-        # buffer: entry (i, j) of block b sits at offset_b + j*(w+1) + i - j
+        # column-major (w+1, n) lower bands, stored w >= BLOCKED_BAND wide, then
+        # the coupling blocks, in one buffer: entry (i, j) of block b sits at
+        # offset_b + j*(w+1) + i - j
         self._bands, offset, col_base = [], 0, np.empty(starts[-1], dtype=int)
         for k, (w, n) in enumerate(zip(widths, sizes)):
+            w = max(w, BLOCKED_BAND)
             self._bands.append((offset, w, n))
             col_base[starts[k] : starts[k + 1]] = offset + np.arange(n) * w - starts[k]
             offset += (w + 1) * n
@@ -315,10 +328,12 @@ class BandedOperator:
         try:
             chols = [cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
                      for ab in bands[:-1]]
+            ws = []  # L_tt^-1 B of each leg
             for chol, coupling, leg in zip(chols, couplings, self._legs):
                 # chol's last `trail` columns are L_tt in the same band storage
                 w, _ = dtbtrs(chol[:, -leg.trail :], coupling, uplo="L")
                 bands[-1][leg.band_at] -= (w.T @ w)[leg.term_at]
+                ws.append(w)
             chols.append(cholesky_banded(bands[-1], lower=True, overwrite_ab=True,
                                          check_finite=False))
         except LinAlgError as err:
@@ -326,17 +341,20 @@ class BandedOperator:
                 f"stiffness matrix not positive definite "
                 f"(smallest diagonal {smallest:.3e}): {err}"
             ) from err
+        # forward sweep z = L^-1 f per leg; L^-1 [0; v] = [0; L_tt^-1 v], so
+        # the separator sees f_sep - W^T z_t and each leg L^-T (z - [0; W u_sep])
         *f_legs, f_sep = self._f_blocks
         rhs = f_sep.copy()
-        for chol, f, coupling, leg in zip(chols, f_legs, couplings, self._legs):
-            y = cho_solve_banded((chol, True), f, check_finite=False)
-            rhs[leg.cols] -= coupling.T @ y[-leg.trail :]
+        zs = []
+        for chol, f, w, leg in zip(chols, f_legs, ws, self._legs):
+            z, _ = dtbtrs(chol, f, uplo="L")
+            rhs[leg.cols] -= w.T @ z[-leg.trail :]
+            zs.append(z)
         u_sep = cho_solve_banded((chols[-1], True), rhs, check_finite=False)
         u_blocks = []
-        for chol, f, coupling, leg in zip(chols, f_legs, couplings, self._legs):
-            rhs = f.copy()
-            rhs[-leg.trail :] -= coupling @ u_sep[leg.cols]
-            u_blocks.append(cho_solve_banded((chol, True), rhs, check_finite=False))
+        for chol, z, w, leg in zip(chols, zs, ws, self._legs):
+            z[-leg.trail :] -= w @ u_sep[leg.cols]
+            u_blocks.append(dtbtrs(chol, z, uplo="L", trans="T", overwrite_b=True)[0])
         u_free = np.concatenate([*u_blocks, u_sep])
         u = np.zeros(self.mesh.n_dofs)
         u[self.free_dofs] = u_free
@@ -405,11 +423,12 @@ class BeamProblem:
         else:
             self.mesh = build_lshape_mesh(config.n_grid)
         self.weights = build_filter(self.mesh)
+        self.weights_t = self.weights.T.tocsr()
         self.op = BandedOperator(self.mesh, element_stiffness())
         self.random_input = RandomInput(
             (Normal(), Lognormal(config.e0_mean, config.e0_std))
         )
-        self._mass_grad = config.tau * filter_backward(self.weights, np.ones(self.mesh.n_elems))
+        self._mass_grad = config.tau * filter_backward(self.weights_t, np.ones(self.mesh.n_elems))
         self._cache_key: bytes | None = None
         self._cache: tuple[float, np.ndarray] | None = None
         self._rho: np.ndarray | None = None  # filtered density of the cached design
@@ -453,7 +472,7 @@ class BeamProblem:
         c1, dc1 = self.unit_solution(theta)
         s = float(np.mean(self.load_multiplier(xis[:, 0]) ** 2 / xis[:, 1]))
         value = s * c1 + self.config.tau * float(np.sum(self._rho))
-        grad = filter_backward(self.weights, s * dc1) + self._mass_grad
+        grad = filter_backward(self.weights_t, s * dc1) + self._mass_grad
         return value, grad
 
     def objective_expected(self, theta) -> float:

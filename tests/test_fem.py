@@ -214,11 +214,18 @@ class TestSolve:
         _, c = solve_compliance(bp.op, np.ones(m.n_elems))
         assert c == pytest.approx(c_ref, rel=1e-8)
 
+    @pytest.mark.parametrize("load", ["shipped", "every_dof"])
     @pytest.mark.parametrize("n", [6, 12, 18])
-    def test_lshape_blocks_against_dense_oracle(self, n):
+    def test_lshape_blocks_against_dense_oracle(self, n, load):
         m = build_lshape_mesh(n)
+        if load == "every_dof":
+            # the shipped load lies in the horizontal leg only; this one loads every block
+            f = np.zeros(m.n_dofs)
+            f[m.free_dofs] = SampleStream(63).child("load", n).rng().standard_normal(m.free_dofs.size)
+            m = dataclasses.replace(m, load_vector=f)
         op = BandedOperator(m, element_stiffness())
         assert len(m.blocks) == 3  # two legs, then the corner that separates them
+        assert all(m.load_vector[block].any() for block in m.blocks) == (load == "every_dof")
         ke = classic_q4_plane_stress()
         k_dense = np.zeros((m.n_dofs, m.n_dofs))
         rho = SampleStream(61).child("blocks", n).rng().uniform(0.2, 1.0, m.n_elems)
@@ -306,19 +313,42 @@ class TestSolve:
         monkeypatch.setattr(fem, "cholesky_banded", recording)
         op.solve(np.ones(m.n_elems))
         assert len(calls) == 3  # one per block
-        for (ab, kwargs, result), block, width in zip(calls, m.blocks, op.bandwidths):
-            assert ab.shape == (width + 1, len(block))
+        for (ab, kwargs, result), block in zip(calls, m.blocks):
+            assert ab.shape == (fem.BLOCKED_BAND + 1, len(block))  # every band here is narrower
+            assert ab.shape[0] >= 66  # LAPACK's blocked dpbtrf
             assert ab.flags.f_contiguous  # LAPACK's layout: no transposing copy
             assert kwargs.get("overwrite_ab") is True
             assert kwargs.get("lower") is True
             assert np.shares_memory(result, ab)
+
+    def test_padded_leg_band_factors_as_its_structural_band(self, monkeypatch):
+        m = build_lshape_mesh(72)
+        op = BandedOperator(m, element_stiffness())
+        assert op.bandwidths[0] == 53 and fem.BLOCKED_BAND == 65
+        calls = []
+
+        def recording(ab, *args, **kwargs):
+            assembled = ab.copy()
+            calls.append((assembled, scipy.linalg.cholesky_banded(ab, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fem, "cholesky_banded", recording)
+        rho = SampleStream(64).child("padded").rng().uniform(0.05, 1.0, m.n_elems)
+        solve_compliance(op, rho)
+        assembled, chol = calls[0]  # the vertical leg
+        assert assembled.shape[0] == chol.shape[0] == 66
+        assert not assembled[54:].any() and not chol[54:].any()  # padding rows stay zero
+        ref = scipy.linalg.cholesky_banded(assembled[:54], lower=True)  # unblocked dpbtf2
+        assert np.allclose(chol[:54], ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("mesh", [build_rect_mesh(12, 4)], ids=["rect"])
     def test_solve_is_bitwise_scipy_on_a_row_major_band(self, mesh):
         op = BandedOperator(mesh, element_stiffness())
         scale = SampleStream(62).child("band").rng().uniform(0.01, 1.0, mesh.n_elems) ** PENAL
         f_free = op.f_free.copy()
-        ab = row_major_lower_band(dense_free_stiffness(op, scale), op.bandwidths[0])
+        # the band as the operator stores it, BLOCKED_BAND wide
+        assert op.bandwidths[0] < fem.BLOCKED_BAND
+        ab = row_major_lower_band(dense_free_stiffness(op, scale), fem.BLOCKED_BAND)
         chol = scipy.linalg.cholesky_banded(ab, lower=True)
         u_ref = scipy.linalg.cho_solve_banded((chol, True), f_free)
         u, c = op.solve(scale)
@@ -410,8 +440,16 @@ class TestSensitivityAndFilter:
         v = rng.standard_normal(m.n_elems)
         d = rng.standard_normal(m.n_elems)
         assert d @ filter_forward(w, v) == pytest.approx(
-            filter_backward(w, d) @ v, rel=1e-12
+            filter_backward(w.T.tocsr(), d) @ v, rel=1e-12
         )
+
+    def test_problem_keeps_the_transposed_filter_as_csr(self):
+        bp = BeamProblem(BeamConfig(**LBEAM, n_grid=12))
+        assert bp.weights_t.format == "csr"
+        assert (bp.weights_t != bp.weights.T).nnz == 0
+        d = SampleStream(44).child("wt").rng().standard_normal(bp.mesh.n_elems)
+        # the same sums in the same order as the CSC transpose it replaces
+        assert filter_backward(bp.weights_t, d).tobytes() == (bp.weights.T @ d).tobytes()
 
     def test_spike_spreads_within_radius_only(self):
         m = build_rect_mesh(9, 9)
