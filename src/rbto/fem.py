@@ -86,7 +86,12 @@ class Mesh:
 
 
 def element_stiffness() -> np.ndarray:
-    """8x8 plane-stress stiffness of the unit square bilinear quad, unit modulus, 2x2 Gauss."""
+    """8x8 plane-stress stiffness of the unit square bilinear quad, unit modulus, 2x2 Gauss.
+
+    Symmetrized once, so that the factored matrix (the band takes one
+    triangle) and compliance_sensitivity (all of ke) use the same matrix; the
+    quadrature sum alone is symmetric only to rounding (2.8e-17 at NU = 0.3).
+    """
     d_mat = 1.0 / (1.0 - NU**2) * np.array(
         [[1.0, NU, 0.0], [NU, 1.0, 0.0], [0.0, 0.0, (1.0 - NU) / 2.0]]
     )
@@ -108,7 +113,7 @@ def element_stiffness() -> np.ndarray:
             b_mat[2, 0::2] = d_xy[1]
             b_mat[2, 1::2] = d_xy[0]
             ke += b_mat.T @ d_mat @ b_mat * np.linalg.det(jac)
-    return ke
+    return 0.5 * (ke + ke.T)
 
 
 def _grid_mesh(nx: int, ny: int, elem_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -171,8 +171,7 @@ class TestElementStiffness:
 
     def test_symmetry(self):
         ke = element_stiffness()
-        # symmetric up to the rounding of the quadrature sum (2.8e-17 at NU = 0.3)
-        assert np.abs(ke - ke.T).max() <= 2 * np.finfo(float).eps * np.abs(ke).max()
+        assert np.array_equal(ke, ke.T)
 
     def test_rigid_body_modes(self):
         ke = element_stiffness()
