@@ -19,32 +19,19 @@ class PceFitError(FloatingPointError):
     pass
 
 
-@dataclass(frozen=True)
-class MultiIndexSet:
-    """Total-degree multi-index set in graded-lexicographic order."""
-
-    dim: int
-    order: int
-    indices: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def multi_indices(dim: int, order: int) -> MultiIndexSet:
-    """All d-tuples with component sum <= order, graded-lexicographically."""
+def multi_indices(dim: int, order: int) -> np.ndarray:
+    """All d-tuples with component sum <= order, graded-lexicographically: (n_terms, dim) ints."""
     idx = [t for t in itertools.product(range(order + 1), repeat=dim) if sum(t) <= order]
     idx.sort(key=lambda t: (sum(t), t))
-    return MultiIndexSet(dim, order, tuple(idx))
+    return np.array(idx)
 
 
-def basis_matrix(u: np.ndarray, indices: MultiIndexSet) -> np.ndarray:
+def basis_matrix(u: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Evaluate the monomials prod_d u_d**j_d at u-space points, shape (n, n_terms)."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    idx = np.array(indices.indices)  # (n_terms, d)
     psi = np.ones((u.shape[0], len(indices)))
-    for d in range(indices.dim):
-        psi *= np.vander(u[:, d], indices.order + 1, increasing=True)[:, idx[:, d]]
+    for d in range(indices.shape[1]):
+        psi *= np.vander(u[:, d], indices.max() + 1, increasing=True)[:, indices[:, d]]
     return psi
 
 
@@ -71,15 +58,15 @@ class PceModel:
     multi-index, of prod_d u_d**j_d) and the condition number of the monomial
     regression matrix the fit solved (nan when not fitted)."""
 
-    indices: MultiIndexSet
+    indices: np.ndarray  # (n_terms, dim), as multi_indices returns it
     coefficients: np.ndarray
     condition: float = np.nan
     _monomial: np.ndarray = field(init=False, repr=False, compare=False)  # [j_0, ...] of u_0**j_0 * ...
 
     def __post_init__(self):
         # every axis runs to at least power 1, so an order-0 model is evaluated by the same rule
-        self._monomial = np.zeros((max(self.indices.order, 1) + 1,) * self.indices.dim)
-        self._monomial[tuple(np.array(self.indices.indices).T)] = self.coefficients
+        self._monomial = np.zeros((max(self.indices.max(), 1) + 1,) * self.indices.shape[1])
+        self._monomial[tuple(self.indices.T)] = self.coefficients
 
     def evaluate_u(self, u: np.ndarray) -> np.ndarray:
         """Evaluate at the rows of an (n, dim) matrix of u-space points; shape (n,).
@@ -97,7 +84,7 @@ class PceModel:
 def fit_least_squares(
     u_samples: np.ndarray,
     values: np.ndarray,
-    indices: MultiIndexSet,
+    indices: np.ndarray,
 ) -> PceModel:
     """Least-squares coefficient fit at the given u-space sample points."""
     values = np.asarray(values, dtype=float)

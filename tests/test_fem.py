@@ -444,6 +444,14 @@ class TestSensitivityAndFilter:
             filter_backward(w.T.tocsr(), d) @ v, rel=1e-12
         )
 
+    @pytest.mark.parametrize("mesh", [build_lshape_mesh(12), build_rect_mesh(7, 3)],
+                             ids=["lshape", "rect"])
+    def test_filter_matches_dense_cone_weights(self, mesh):
+        c = mesh.centers
+        cone = np.maximum(fem.FILTER_RADIUS - np.linalg.norm(c[:, None] - c[None], axis=2), 0.0)
+        ref = cone / cone.sum(axis=1, keepdims=True)
+        assert np.abs(build_filter(mesh).toarray() - ref).max() <= 1e-15
+
     def test_problem_keeps_the_transposed_filter_as_csr(self):
         bp = BeamProblem(BeamConfig(**LBEAM, n_grid=12))
         assert bp.weights_t.format == "csr"

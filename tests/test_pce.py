@@ -19,7 +19,7 @@ from rbto.truss import TrussProblem, limit_state
 def hermite_chaos_fit(u_fit, values, order):
     """The least-squares fit of values over the normalized Hermite chaos
     prod_d He_{j_d}(u_d)/sqrt(j_d!) of total degree <= order, as a callable."""
-    idx = np.array(multi_indices(u_fit.shape[1], order).indices)
+    idx = multi_indices(u_fit.shape[1], order)
     norm = np.sqrt([math.factorial(k) for k in range(order + 1)])
 
     def basis(u):
@@ -34,16 +34,16 @@ def hermite_chaos_fit(u_fit, values, order):
 
 def test_multi_index_cardinalities():
     assert len(multi_indices(2, 4)) == 15
-    assert multi_indices(1, 3).indices == ((0,), (1,), (2,), (3,))
-    assert multi_indices(2, 0).indices == ((0, 0),)
+    assert multi_indices(1, 3).tolist() == [[0], [1], [2], [3]]
+    assert multi_indices(2, 0).tolist() == [[0, 0]]
 
 
 def test_multi_index_graded_order():
     idx = multi_indices(3, 4)
-    assert idx.indices[0] == (0, 0, 0)
-    totals = [sum(t) for t in idx.indices]
+    assert idx[0].tolist() == [0, 0, 0]
+    totals = idx.sum(axis=1).tolist()
     assert totals == sorted(totals)
-    assert len(idx) == math.comb(7, 3)
+    assert idx.shape == (math.comb(7, 3), 3)
 
 
 @pytest.mark.parametrize("dim, seed", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
@@ -73,10 +73,10 @@ def test_exact_recovery_of_low_degree_model():
     values = basis_matrix(u, idx2) @ coef2
     model = fit_least_squares(u, values, idx4)
     # low-degree coefficients recovered, the rest vanish
-    lookup = {t: c for t, c in zip(idx4.indices, model.coefficients)}
-    for t, c in zip(idx2.indices, coef2):
-        assert lookup[t] == pytest.approx(c, abs=1e-10)
-    high = [lookup[t] for t in idx4.indices if sum(t) > 2]
+    lookup = {tuple(t): c for t, c in zip(idx4.tolist(), model.coefficients)}
+    for t, c in zip(idx2.tolist(), coef2):
+        assert lookup[tuple(t)] == pytest.approx(c, abs=1e-10)
+    high = [c for t, c in lookup.items() if sum(t) > 2]
     assert np.abs(high).max() < 1e-10
 
 
@@ -166,7 +166,7 @@ def test_horner_evaluation_with_zero_planes(dim, zero):
     idx = multi_indices(dim, 4)
     stream = SampleStream(73).child("planes", dim)
     coef = stream.child("c").rng().standard_normal(len(idx))
-    coef[[i for i, t in enumerate(idx.indices) if zero(t)]] = 0.0
+    coef[[i for i, t in enumerate(idx.tolist()) if zero(t)]] = 0.0
     u = stream.child("u").rng().standard_normal((5000, dim))
     reference = basis_matrix(u, idx) @ coef
     values = PceModel(idx, coef).evaluate_u(u)
