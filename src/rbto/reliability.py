@@ -247,7 +247,11 @@ def hybrid_estimate(
     except inside the band |ghat| <= gamma, where the exact model decides. The batch is screened in blocks of EVAL_CHUNK rows as
     its ranges are filled, so no batch-sized ghat or mask is built; the band
     rows of all blocks go to the exact model in one call, in draw order.
+    A batch of at most n_fit samples is plain Monte Carlo (method "mc"): the
+    fit alone would cost at least as many exact evaluations as the batch.
     """
+    if cfg.n_samples <= cfg.n_fit:
+        return mc_estimate(g, theta, input, cfg.n_samples, stream, draw)
     nd0 = g.n_evals
     n_fail = 0
     band_rows = []

@@ -434,6 +434,17 @@ class TestEstimateCommand:
         p_hat = float(out.split("p_hat")[1].split(":")[1].split()[0])
         assert p_hat == pytest.approx(1e-3, rel=0.1)
 
+    def test_hybrid_below_the_fit_size_is_mc(self, tmp_path, capsys):
+        # 3 samples are fewer than the 100 exact evaluations a surrogate fit takes
+        outs = {}
+        for method in ("hybrid", "mc"):
+            cfg = json.loads((CONFIGS / "truss_estimate.json").read_text())
+            cfg["estimator"] = {"method": method, "n_samples": 3}
+            assert main(["estimate", write_config(tmp_path, cfg, f"{method}.json")]) == 0
+            outs[method] = capsys.readouterr().out
+        assert re.search(r"^exact evals *: 3$", outs["hybrid"], re.M)
+        assert outs["hybrid"] == outs["mc"]
+
     def test_always_failing_design(self, tmp_path, capsys):
         # vanished cross-section: every draw fails
         cfg = {

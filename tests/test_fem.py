@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.spatial
 
 from rbto import fem
 from rbto.fem import (
@@ -447,10 +449,25 @@ class TestSensitivityAndFilter:
     @pytest.mark.parametrize("mesh", [build_lshape_mesh(12), build_rect_mesh(7, 3)],
                              ids=["lshape", "rect"])
     def test_filter_matches_dense_cone_weights(self, mesh):
-        c = mesh.centers
+        c = mesh.elem_grid + 0.5
         cone = np.maximum(fem.FILTER_RADIUS - np.linalg.norm(c[:, None] - c[None], axis=2), 0.0)
         ref = cone / cone.sum(axis=1, keepdims=True)
         assert np.abs(build_filter(mesh).toarray() - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("mesh", [build_lshape_mesh(72), build_rect_mesh(120, 40),
+                                      build_lshape_mesh(12), build_rect_mesh(7, 3)],
+                             ids=["lshape-72", "rect-120x40", "lshape-12", "rect-7x3"])
+    def test_filter_is_byte_identical_to_kd_tree_search(self, mesh):
+        # the same cone filter built by a point search over the element centers
+        tree = scipy.spatial.cKDTree(mesh.elem_grid + 0.5)
+        near = tree.sparse_distance_matrix(tree, fem.FILTER_RADIUS, output_type="ndarray")
+        w = scipy.sparse.csr_matrix((fem.FILTER_RADIUS - near["v"], (near["i"], near["j"])),
+                                    shape=(mesh.n_elems, mesh.n_elems))
+        ref = (scipy.sparse.diags(1.0 / np.asarray(w.sum(axis=1)).ravel()) @ w).tocsr()
+        got = build_filter(mesh)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.data.tobytes() == ref.data.tobytes()
 
     def test_problem_keeps_the_transposed_filter_as_csr(self):
         bp = BeamProblem(BeamConfig(**LBEAM, n_grid=12))
@@ -467,7 +484,8 @@ class TestSensitivityAndFilter:
         center = 4 * 9 + 4
         spike[center] = 1.0
         rho = filter_forward(w, spike)
-        dists = np.linalg.norm(m.centers - m.centers[center], axis=1)
+        c = m.elem_grid + 0.5
+        dists = np.linalg.norm(c - c[center], axis=1)
         assert np.all(rho[dists >= 1.5] == 0.0)
         assert rho[center] > 0.0
 

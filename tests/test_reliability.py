@@ -171,6 +171,14 @@ class TestHybrid:
         assert est.p_hat == ref.p_hat
         assert est.n_exact_evals == cfg.n_fit + 2000
 
+    def test_batch_within_the_fit_size_is_mc(self):
+        # no surrogate is fitted for a batch no larger than n_fit
+        g = shifted_limit_state(0.5)
+        est = hybrid_estimate(g, None, U1, HybridConfig(n_samples=50), SampleStream(22))
+        ref = mc_estimate(shifted_limit_state(0.5), None, U1, 50, SampleStream(22))
+        assert est == ref
+        assert g.n_evals == 50
+
     def test_multi_block_screen_is_mc_with_one_band_call(self):
         # an infinite band sends every screened row to the exact model: over
         # several draw and screening blocks the estimate is the plain MC one on
