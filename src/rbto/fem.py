@@ -209,7 +209,8 @@ def build_filter(mesh: Mesh) -> sparse.csr_matrix:
     on_mesh = cols >= 0
     cone = np.broadcast_to(FILTER_RADIUS - np.sqrt(dx**2 + dy**2), cols.shape)
     indptr = np.concatenate([[0], np.cumsum(on_mesh.sum(axis=1))])
-    w = sparse.csr_matrix((cone[on_mesh], cols[on_mesh], indptr), shape=(mesh.n_elems, mesh.n_elems))
+    w = sparse.csr_matrix((cone[on_mesh], cols[on_mesh], indptr),
+                          shape=(mesh.n_elems, mesh.n_elems))
     return (sparse.diags(1.0 / np.asarray(w.sum(axis=1)).ravel()) @ w).tocsr()
 
 
@@ -324,7 +325,8 @@ class BandedOperator:
         self.buffer_size = offset
         # K[i, j] for i >= j, i and j free: element entry 8a + b has i = rows[a], j = rows[b];
         # a fixed j (-1) is compared as starts[-1], above every free i
-        lower = (rows[:, :, None] >= np.where(rows >= 0, rows, starts[-1])[:, None, :]).reshape(-1, 64)
+        as_col = np.where(rows >= 0, rows, starts[-1])
+        lower = (rows[:, :, None] >= as_col[:, None, :]).reshape(-1, 64)
         self.entry_pos = pos.reshape(-1, 64)[lower]
         self.entry_elem = np.repeat(np.arange(mesh.n_elems), lower.sum(axis=1))
         self.entry_ke = np.broadcast_to(ke.ravel(), lower.shape)[lower]
