@@ -27,7 +27,7 @@ from .sampling import DRAW_BLOCK, RandomInput, SampleStream
 
 
 MAX_COUNT = 10**9  # upper bound of every count setting (sample sizes, iterations, mesh sizes)
-EVAL_CHUNK = 1 << 14  # rows per block when screening a batch with the fitted surrogate
+EVAL_CHUNK = 1 << 16  # rows per block when screening a batch with the fitted surrogate
 
 
 def check_counts(cfg, *keys: str) -> None:
@@ -43,8 +43,10 @@ def check_counts(cfg, *keys: str) -> None:
 class LimitState:
     """Wraps a vectorized exact limit-state evaluator and counts its evaluations.
 
-    batch_fn(theta, xis) returns g at each row of the (n, dim) realization
-    matrix xis; the counter increments once per row.
+    batch_fn(theta, xis) returns g at each row of the (n, dim) float
+    realization matrix xis; the counter increments once per row. Every caller
+    passes a drawn matrix (RandomInput.from_u of an (n, dim) draw), so batch
+    hands it on unconverted.
     """
 
     def __init__(self, batch_fn):
@@ -52,7 +54,6 @@ class LimitState:
         self.n_evals = 0
 
     def batch(self, theta, xis: np.ndarray) -> np.ndarray:
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
         self.n_evals += xis.shape[0]
         return np.asarray(self.batch_fn(theta, xis), dtype=float)
 
@@ -244,9 +245,11 @@ def hybrid_estimate(
     least squares in the monomial basis (pce.basis_matrix; the same polynomial
     as a Hermite-basis fit) from n_fit (100) exact evaluations (both
     HybridConfig class constants), classifies the large Monte Carlo batch
-    except inside the band |ghat| <= gamma, where the exact model decides. The batch is screened in blocks of EVAL_CHUNK rows as
-    its ranges are filled, so no batch-sized ghat or mask is built; the band
-    rows of all blocks go to the exact model in one call, in draw order.
+    except inside the band |ghat| <= gamma, where the exact model decides.
+    The batch is screened in blocks of EVAL_CHUNK rows as its ranges are
+    filled, so no batch-sized ghat or mask is built; the band rows of all
+    blocks go to the exact model in one call, in draw order, so the block
+    size changes no result.
     A batch of at most n_fit samples is plain Monte Carlo (method "mc"): the
     fit alone would cost at least as many exact evaluations as the batch.
     """

@@ -8,6 +8,10 @@ deviation and are moment-matched:
 
     sigma_ln^2 = ln(1 + (std/mean)^2),   mu_ln = ln(mean) - sigma_ln^2 / 2.
 
+A SampleStream's SeedSequence words are made once, with the stream (child()
+appends the new labels' words to its parent's), so rng(), called for every
+mini-batch of a run, encodes nothing.
+
 RandomInput.blocks_u draws a Monte Carlo batch into one array on two threads:
 a worker queues every fill at the start and exits after the last (nothing is
 closed); whenever the range the caller reads next is not filled, it draws the
@@ -19,8 +23,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,27 +57,27 @@ class Lognormal:
 RandomVariable = Normal | Lognormal
 
 
-def _words(value: int) -> list[int]:
-    """The 32-bit words, least significant first, that SeedSequence splits a non-negative int into."""
-    words = [value & 0xFFFFFFFF]
-    while value > 0xFFFFFFFF:
-        value >>= 32
-        words.append(value & 0xFFFFFFFF)
-    return words
+def _words(value: int) -> bytes:
+    """The 32-bit words, least significant first, that SeedSequence splits a
+    non-negative int into, as little-endian bytes."""
+    return value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little")
+
+
+_INT_TAG, _STR_TAG = _words(1), _words(2)  # the word ahead of an int label, of a str label's digest
 
 
 @functools.lru_cache(maxsize=128)  # labels are a handful of names fixed in the code
-def _digest_words(label: str) -> list[int]:
+def _digest_words(label: str) -> bytes:
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-    return [2, *_words(int.from_bytes(digest, "little"))]
+    return _STR_TAG + _words(int.from_bytes(digest, "little"))
 
 
-def _label_words(label) -> list[int]:
+def _label_words(label) -> bytes:
     # Stable across processes; never use built-in hash() here.
     if isinstance(label, (int, np.integer)):
         if label < 0:
             raise ValueError(f"stream path labels must be non-negative, got {label}")
-        return [1, *_words(int(label))]
+        return _INT_TAG + _words(int(label))
     if isinstance(label, str):
         return _digest_words(label)
     raise TypeError(f"stream path labels must be int or str, got {type(label).__name__}")
@@ -85,27 +90,34 @@ class SampleStream:
     Two streams with equal (seed, path) produce identical sequences; distinct
     paths give statistically independent sequences. Immutable, so a stream can
     be shared freely; every use site derives its own generator via rng().
+
+    words is the SeedSequence entropy of (seed, path) as little-endian 32-bit
+    words: those of seed, then per label 1 and an int's words or 2 and those
+    of a str's 8-byte blake2b digest. They are made and checked once per
+    stream: in full by the constructor, by child() as the parent's words plus
+    the new labels'.
     """
 
     seed: int
     path: tuple = ()
+    words: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        for label in self.path:
-            _label_words(label)
+        words = _words(operator.index(self.seed)) + b"".join(map(_label_words, self.path))
+        object.__setattr__(self, "words", words)
 
     def child(self, *labels) -> "SampleStream":
-        return SampleStream(self.seed, self.path + tuple(labels))
+        words = self.words + b"".join(map(_label_words, labels))  # raises on a bad label here
+        stream = object.__new__(SampleStream)  # the path before labels is checked already
+        vars(stream).update(seed=self.seed, path=self.path + labels, words=words)
+        return stream
 
     def rng(self) -> np.random.Generator:
-        # SeedSequence([seed, 1, int label, 2, str digest, ...]) from its own 32-bit
-        # words: an array of them skips its per-int conversion
-        words = _words(self.seed)
-        for label in self.path:
-            words += _label_words(label)
-        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+        # an array of the words skips SeedSequence's per-int conversion
+        seq = np.random.SeedSequence(np.frombuffer(self.words, dtype="<u4"))
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 @dataclass(frozen=True)

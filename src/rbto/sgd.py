@@ -181,7 +181,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
 
             batch = problem.random_input.sample(cfg.n, root.child("batch", k))
             # a robust run (kappa_f 0) has no penalty for the failure-density model to steer
-            if cfg.kappa_f > 0.0 and np.any(problem.limit_state.batch(theta, batch) <= 0.0):
+            if cfg.kappa_f > 0.0 and (problem.limit_state.batch(theta, batch) <= 0.0).any():
                 model = fd.update(model, [theta])
                 failure_update[k - 1] = True
                 stale = True
@@ -200,11 +200,12 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
             alpha[k - 1] = model.alpha
             beta_norms[k - 1] = beta_norm
 
-            if not np.all(np.isfinite(h)):
+            if not np.isfinite(h).all():
                 bad = int(np.nonzero(~np.isfinite(h))[0][0])
                 raise FloatingPointError(f"non-finite gradient component {bad}")
-            theta = np.clip(theta - cfg.eta * h, problem.lower, problem.upper)
-            if not np.all(np.isfinite(theta)):
+            # np.clip's bits, NaN and a signed zero at a bound included, without its argument checks
+            theta = np.minimum(np.maximum(theta - cfg.eta * h, problem.lower), problem.upper)
+            if not np.isfinite(theta).all():
                 bad = int(np.nonzero(~np.isfinite(theta))[0][0])
                 raise FloatingPointError(f"non-finite design component {bad}")
         # FloatingPointError covers the density-model overflow, a failed

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .reliability import LimitState
 from .sampling import Normal, RandomInput
@@ -74,7 +74,7 @@ def failure_probability(problem: TrussProblem, lam: float, delta: float) -> floa
     rhs = problem.p_load**2 * s**2 * (problem.c0 * lam * c - 1.0 / c**2)
     if rhs <= 0.0:
         return 1.0
-    return float(2.0 * stats.norm.cdf(-np.sqrt(rhs)))
+    return float(2.0 * ndtr(-np.sqrt(rhs)))
 
 
 def make_problem(problem: TrussProblem | None = None) -> OptimizationProblem:

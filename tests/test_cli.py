@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -514,3 +517,14 @@ class TestEstimateCommand:
         assert main(["estimate", path]) == 0
         out = capsys.readouterr().out
         assert "p_hat" in out
+
+
+def test_import_leaves_scipy_stats_out():
+    # the truss oracle takes ndtr from scipy.special; scipy.stats would more than double the import time
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rbto.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

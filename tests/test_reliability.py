@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy import stats
 
-from rbto import sgd
+from rbto import reliability, sgd
 from rbto.fem import BeamConfig, BeamProblem
 from rbto.reliability import (
     EVAL_CHUNK,
@@ -236,6 +236,21 @@ class TestHybrid:
         ref = mc_estimate(g2, None, U1, 10**6, SampleStream(16))
         assert abs(est.p_hat - ref.p_hat) <= 0.2 * ref.p_hat
         assert est.n_exact_evals < 0.01 * cfg.n_samples
+
+    def test_screening_block_size_changes_no_result(self, monkeypatch):
+        # EVAL_CHUNK only sizes the screening blocks: the band rows still reach
+        # the exact model in draw order, so the estimate is the same for any size
+        prob = TrussProblem()
+        lam, delta = 0.3, np.deg2rad(43.25)
+        cfg = HybridConfig(gamma=2.5, n_samples=PAST_FIRST_FILL + 12345)  # the first fill and three blocks
+
+        def screen():
+            return hybrid_estimate(truss_limit_state(prob, lam, delta), None, U1, cfg, SampleStream(23))
+
+        shipped = screen()
+        monkeypatch.setattr(reliability, "EVAL_CHUNK", 1000)
+        assert screen() == shipped
+        assert shipped.n_exact_evals > cfg.n_fit  # the band is not empty
 
 
 

@@ -66,6 +66,26 @@ def test_stream_state_is_the_seed_sequence_of_its_labels(seed, path):
     assert SampleStream(seed, tuple(path)).rng().bit_generator.state == expected
 
 
+@given(
+    seed=st.one_of(WORD_EDGES, st.integers(0, 2**70)),
+    calls=st.lists(
+        st.lists(st.one_of(WORD_EDGES, st.integers(0, 2**70), st.text(max_size=8)), max_size=3),
+        max_size=3,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_chained_children_equal_the_stream_of_their_whole_path(seed, calls):
+    # child() appends the new labels' words to its parent's; the result is the
+    # stream built from the whole path at once
+    stream = SampleStream(seed)
+    for labels in calls:
+        stream = stream.child(*labels)
+    whole = SampleStream(seed, tuple(label for labels in calls for label in labels))
+    assert stream == whole
+    assert stream.words == whole.words
+    assert stream.rng().bit_generator.state == whole.rng().bit_generator.state
+
+
 BLOCK_ROWS = 1000  # sampling.DRAW_BLOCK in the blocks_u tests, so each sees many fills
 FIRST_FILL = DRAW_AHEAD * BLOCK_ROWS  # rows of a draw's first fill, the single draw sample_u
 
@@ -267,3 +287,14 @@ def test_stream_rejects_bad_labels():
         SampleStream(5).child(-1)
     with pytest.raises(TypeError):
         SampleStream(5).child(3.14)
+
+
+@pytest.mark.parametrize("labels, error", [
+    (("a", -1), ValueError), ((-1, "a"), ValueError), ((2, 3.14), TypeError), ((3.14, 2), TypeError),
+])
+def test_bad_label_anywhere_in_a_child_raises_at_that_call(labels, error):
+    parent = SampleStream(5).child("ok", 1)
+    with pytest.raises(error):
+        parent.child(*labels)
+    with pytest.raises(error):
+        SampleStream(5, ("ok", 1, *labels))

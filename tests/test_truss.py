@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from rbto.reliability import LimitState, mc_estimate
 from rbto.sampling import Normal, RandomInput, SampleStream
@@ -81,6 +82,16 @@ def test_failure_probability_saturates_at_one():
     # no root: the weak design fails for every load realization
     assert failure_probability(PROB, 0.01, np.deg2rad(45.0)) == 1.0
     assert failure_probability(PROB, 0.0, np.deg2rad(45.0)) == 1.0
+
+
+def test_failure_probability_is_the_normal_cdf_form():
+    # 2 Phi(-xi*), with Phi taken from scipy.stats, for designs from P_F near 0.5 to near 1e-15
+    for lam in np.linspace(0.05, 1.0, 40):
+        for delta in np.deg2rad([20.0, 35.0, 43.25, 55.0, 70.0]):
+            c, s = np.cos(delta), np.sin(delta)
+            rhs = PROB.p_load**2 * s**2 * (PROB.c0 * lam * c - 1.0 / c**2)
+            if rhs > 0.0:
+                assert failure_probability(PROB, lam, delta) == 2.0 * stats.norm.cdf(-np.sqrt(rhs))
 
 
 def test_make_problem_wiring():
