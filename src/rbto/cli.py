@@ -22,6 +22,11 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+# One BLAS thread unless the user sets another count: a second thread slows the banded
+# factorization on small hosts. Set before numpy loads, which reads these once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import fem, truss
@@ -32,6 +37,7 @@ from .reliability import (
     SubsetConfig,
     SubsetStallError,
     estimate as run_estimator,
+    start_draw,
 )
 from .sampling import SampleStream
 from .sgd import OptimizerConfig, OptimizerError, RunHistory, run as run_optimizer
@@ -289,13 +295,12 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         print(f"numerical failure at iteration {err.iteration}: {err}", file=sys.stderr)
         return 3
     wall = time.perf_counter() - start
-    write_history_csv(out_dir / "history.csv", hist)  # kept if the post-hoc check fails
-
-    # post-run check with a fresh high-accuracy Monte Carlo call
-    posthoc = run_estimator(
-        problem.limit_state, theta, problem.random_input,
-        cfg.posthoc, SampleStream(cfg.seed, ("posthoc",)),
-    )
+    # post-run check with a fresh high-accuracy Monte Carlo call, its batch drawn
+    # while history.csv is written (kept if the check fails)
+    stream = SampleStream(cfg.seed, ("posthoc",))
+    draw = start_draw(problem.random_input, cfg.posthoc, stream)
+    write_history_csv(out_dir / "history.csv", hist)
+    posthoc = run_estimator(problem.limit_state, theta, problem.random_input, cfg.posthoc, stream, draw)
 
     summary = {
         "problem": cfg.problem,

@@ -12,8 +12,9 @@ polynomial chaos surrogate and re-evaluates only those in the band
 batch with RandomInput.blocks_u on the estimate's stream.child("mc"); the
 batch's layout (DRAW_AHEAD and DRAW_BLOCK) is defined in sampling.
 start_draw starts that batch before the estimate is called (the optimizer
-starts each refresh's batch right after the refresh before it) and
-estimate(..., draw) reads it.
+starts each refresh's batch right after the refresh before it, rbto run the
+post-hoc check's before it writes history.csv) and estimate(..., draw) reads
+it, range by range as the fills finish.
 """
 from __future__ import annotations
 
@@ -247,9 +248,10 @@ def hybrid_estimate(
     HybridConfig class constants), classifies the large Monte Carlo batch
     except inside the band |ghat| <= gamma, where the exact model decides.
     The batch is screened in blocks of EVAL_CHUNK rows as its ranges are
-    filled, so no batch-sized ghat or mask is built; the band rows of all
-    blocks go to the exact model in one call, in draw order, so the block
-    size changes no result.
+    filled, in the order their fills finish, so no batch-sized ghat or mask
+    is built; the band rows of all blocks go to the exact model in one call,
+    which evaluates them row by row. The failure count and the band are sums
+    over rows, so neither the block size nor the read order changes a result.
     A batch of at most n_fit samples is plain Monte Carlo (method "mc"): the
     fit alone would cost at least as many exact evaluations as the batch.
     """

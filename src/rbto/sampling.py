@@ -14,17 +14,19 @@ mini-batch of a run, encodes nothing.
 
 RandomInput.blocks_u draws a Monte Carlo batch into one array on two threads:
 a worker queues every fill at the start and exits after the last (nothing is
-closed); whenever the range the caller reads next is not filled, it draws the
-last fill still queued itself. The first fill (DRAW_AHEAD blocks) comes from
-the stream's own generator and each later block of DRAW_BLOCK rows from one
-of its own, so these two constants fix the bits whichever thread drew a block.
+closed). Ranges reach the caller as their fills finish; while none is ready,
+the caller draws the last fill still queued itself. The first fill
+(DRAW_AHEAD blocks) comes from the stream's own generator and each later
+block of DRAW_BLOCK rows from one of its own, so these two constants fix the
+bits whichever thread drew a block; only the order in which ranges are read
+varies.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
 import operator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +155,11 @@ class RandomInput:
         constants define the points past it. Every generator is made here, on
         the caller's thread, and every fill of one (n, dim) array is queued at
         once on one worker thread, the first in one call because a busy caller
-        can hold the worker off the GIL for milliseconds. While the range it
-        reads next is not filled, the caller cancels the last fill still queued
-        and draws it itself. Each range is yielded once filled and stays valid.
-        The worker exits after its last fill, read or not.
+        can hold the worker off the GIL for milliseconds. Each range is yielded
+        once, as soon as it is filled, in the order fills finish (not in draw
+        order), and stays valid. While no range is ready, the caller cancels
+        the last fill still queued and draws it itself. The worker exits after
+        its last fill, read or not.
         """
         edges = [0, *range(min(DRAW_AHEAD * DRAW_BLOCK, n), n, DRAW_BLOCK), n]
         rngs = [stream.rng(), *(stream.child(b).rng() for b in range(1, len(edges) - 1))]
@@ -177,13 +180,23 @@ class RandomInput:
 
 
 def _read(ranges, rngs, fills):
-    """Yield each range once its fill is done, drawing the last queued fills here while it is not."""
-    last = len(fills)  # fills from here on are drawn here, running or done
-    for i, fill in enumerate(fills):
-        while last > i and not fill.done():
+    """Yield each range as soon as its fill is done, in the order fills finish.
+
+    While no range is ready, the last fill still queued is drawn here; with
+    none left to take, wait for the first worker fill to finish.
+    """
+    pending = dict(enumerate(fills))  # fills not yet yielded
+    last = len(fills)  # fills[last:] were drawn here
+    while pending:
+        ready = [i for i, fill in pending.items() if fill.done()]
+        if ready:
+            for i in ready:
+                pending.pop(i).result()  # re-raises what the fill raised
+                yield ranges[i]
+        elif last > 0 and fills[last - 1].cancel():  # fails once the worker started it
             last -= 1
-            if fills[last].cancel():
-                rngs[last].standard_normal(out=ranges[last])
-        if not fill.cancelled():
-            fill.result()
-        yield ranges[i]
+            del pending[last]
+            rngs[last].standard_normal(out=ranges[last])
+            yield ranges[last]
+        else:
+            wait(pending.values(), return_when=FIRST_COMPLETED)

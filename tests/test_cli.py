@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbto import fem
+from rbto import cli, fem
 from rbto.cli import (
     ConfigError,
     _resolve_theta,
@@ -19,7 +19,7 @@ from rbto.cli import (
     parse_config,
 )
 from rbto.reliability import HybridConfig, McConfig
-from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK
+from rbto.sampling import DRAW_AHEAD, DRAW_BLOCK, RandomInput
 from rbto.sgd import run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -290,6 +290,30 @@ class TestRunCommand:
         s1.pop("wall_time_s"), s2.pop("wall_time_s")
         assert s1 == s2
 
+    def test_posthoc_draw_starts_before_history_is_written(self, tmp_path, monkeypatch,
+                                                           threads_left):
+        # the post-hoc batch is drawn while history.csv is written, and the
+        # check reads that draw rather than starting another
+        events = []
+        shipped_blocks_u, shipped_write = RandomInput.blocks_u, cli.write_history_csv
+
+        def blocks_u(self, n, stream):
+            events.append(stream.path)
+            return shipped_blocks_u(self, n, stream)
+
+        def write_history_csv(path, hist):
+            events.append("history.csv")
+            shipped_write(path, hist)
+
+        monkeypatch.setattr(RandomInput, "blocks_u", blocks_u)
+        monkeypatch.setattr(cli, "write_history_csv", write_history_csv)
+        path = write_config(tmp_path, truss_smoke_config())
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        posthoc = ("posthoc", "mc")
+        assert events.count(posthoc) == 1
+        assert events.index(posthoc) < events.index("history.csv")
+        assert threads_left() == 0
+
     def test_summary_config_roundtrip(self, tmp_path):
         path = write_config(tmp_path, truss_smoke_config())
         out = tmp_path / "out"
@@ -528,3 +552,27 @@ def test_import_leaves_scipy_stats_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+@pytest.mark.parametrize("openblas, threads", [(None, 1), ("2", 2)])
+def test_import_pins_blas_unless_the_user_sets_it(openblas, threads):
+    # rbto.cli sets the four BLAS thread variables it finds unset to 1 before
+    # numpy loads; a value the user set wins. Read as test_fem.py reads it.
+    if threads > (os.cpu_count() or 1):
+        pytest.skip(f"OpenBLAS runs at most one thread per CPU; {threads} asked")
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(tests).parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+    code = "import json, rbto.cli, test_fem; print(json.dumps(test_fem.openblas_threads()))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    if not counts:
+        pytest.skip("no loaded OpenBLAS found (no /proc/self/maps, or another BLAS)")
+    assert set(counts.values()) == {threads}, counts

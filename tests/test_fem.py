@@ -87,11 +87,11 @@ def compliance_direct(bp, theta, xi):
     return c
 
 
-def test_blas_runs_one_thread():
-    # conftest.py pins BLAS to one thread before numpy loads; read the thread
-    # count of every OpenBLAS loaded (numpy's and scipy's) through its C API
+def openblas_threads() -> dict:
+    """The thread count of every OpenBLAS this process loaded (numpy's and
+    scipy's), read through its C API, by library path; {} if none is found."""
     if not os.path.exists("/proc/self/maps"):
-        pytest.skip("no /proc/self/maps to find the loaded BLAS in")
+        return {}
     with open("/proc/self/maps") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line}
     counts = {}
@@ -103,8 +103,14 @@ def test_blas_runs_one_thread():
                 get.argtypes, get.restype = [], ctypes.c_int
                 counts[path] = get()
                 break
+    return counts
+
+
+def test_blas_runs_one_thread():
+    # conftest.py pins BLAS to one thread before numpy loads
+    counts = openblas_threads()
     if not counts:
-        pytest.skip("no OpenBLAS loaded")
+        pytest.skip("no loaded OpenBLAS found (no /proc/self/maps, or another BLAS)")
     assert set(counts.values()) == {1}, counts
 
 

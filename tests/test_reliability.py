@@ -28,9 +28,14 @@ PHI_MINUS_3 = float(stats.norm.cdf(-3.0))  # 1.3499e-3
 PAST_FIRST_FILL = (DRAW_AHEAD + 2) * DRAW_BLOCK  # a batch size two draw blocks past the first fill
 
 
+def in_draw_order(ranges):
+    """The ranges one blocks_u draw yielded, ordered by their offset in its batch array."""
+    return sorted(ranges, key=lambda r: r.__array_interface__["data"][0])
+
+
 def whole_batch(input, n, stream):
     """The Monte Carlo batch of an estimate of n points on stream, read at once."""
-    return np.concatenate(list(input.blocks_u(n, stream.child("mc"))))
+    return np.concatenate(in_draw_order(input.blocks_u(n, stream.child("mc"))))
 
 
 def shifted_limit_state(b):
@@ -78,7 +83,7 @@ class TestMonteCarlo:
             return 1.1 - xis[:, 1] + 0.05 * xis[:, 0]
 
         est = mc_estimate(LimitState(g_fn), None, ri, n, SampleStream(8))
-        assert calls == [DRAW_BLOCK] * (DRAW_AHEAD + 2) + [7]
+        assert sorted(calls) == [7] + [DRAW_BLOCK] * (DRAW_AHEAD + 2)  # one call per block read
         assert est.p_hat == np.mean(g_fn(None, ri.from_u(whole_batch(ri, n, SampleStream(8)))) <= 0.0)
         assert est.n_exact_evals == n
 
@@ -182,7 +187,8 @@ class TestHybrid:
     def test_multi_block_screen_is_mc_with_one_band_call(self):
         # an infinite band sends every screened row to the exact model: over
         # several draw and screening blocks the estimate is the plain MC one on
-        # the same stream, and the band rows arrive in one call, in draw order
+        # the same stream, and the band rows arrive in one call, in the order
+        # the ranges were read
         n = DRAW_AHEAD * DRAW_BLOCK + EVAL_CHUNK + 5
         cfg = HybridConfig(gamma=np.inf, n_samples=n)
         calls = []
@@ -196,7 +202,7 @@ class TestHybrid:
         assert est.p_hat == ref.p_hat
         assert est.n_exact_evals == cfg.n_fit + n
         assert [len(xis) for xis in calls] == [cfg.n_fit, n]
-        assert np.array_equal(calls[1], whole_batch(U1, n, SampleStream(21)))
+        assert np.array_equal(np.sort(calls[1], axis=0), np.sort(whole_batch(U1, n, SampleStream(21)), axis=0))
 
     def test_polynomial_limit_state_with_zero_band(self):
         # quadratic g is inside the order-4 basis span: surrogate is exact, the
@@ -239,7 +245,7 @@ class TestHybrid:
 
     def test_screening_block_size_changes_no_result(self, monkeypatch):
         # EVAL_CHUNK only sizes the screening blocks: the band rows still reach
-        # the exact model in draw order, so the estimate is the same for any size
+        # the exact model row by row, so the estimate is the same for any size
         prob = TrussProblem()
         lam, delta = 0.3, np.deg2rad(43.25)
         cfg = HybridConfig(gamma=2.5, n_samples=PAST_FIRST_FILL + 12345)  # the first fill and three blocks
@@ -251,6 +257,34 @@ class TestHybrid:
         monkeypatch.setattr(reliability, "EVAL_CHUNK", 1000)
         assert screen() == shipped
         assert shipped.n_exact_evals > cfg.n_fit  # the band is not empty
+
+    @pytest.mark.parametrize("estimator", ["mc", "hybrid"])
+    def test_read_order_changes_no_result(self, monkeypatch, estimator):
+        # the ranges of a batch arrive in the order their fills finish; the
+        # failure and band counts are sums over rows, so reading them in
+        # reverse gives the estimate of reading them in draw order
+        prob = TrussProblem()
+        lam, delta = 0.3, np.deg2rad(43.25)
+        n = PAST_FIRST_FILL + 12345  # the first fill and three blocks
+        shipped_blocks_u, read = RandomInput.blocks_u, []
+
+        def estimate_read(order):
+            def blocks_u(self, n, stream):
+                ranges = order(shipped_blocks_u(self, n, stream))
+                read.append([r.__array_interface__["data"][0] for r in ranges])
+                return iter(ranges)
+
+            monkeypatch.setattr(RandomInput, "blocks_u", blocks_u)
+            g = truss_limit_state(prob, lam, delta)
+            if estimator == "mc":
+                return mc_estimate(g, None, U1, n, SampleStream(24))
+            return hybrid_estimate(g, None, U1, HybridConfig(gamma=2.5, n_samples=n), SampleStream(24))
+
+        in_order = estimate_read(in_draw_order)
+        reversed_order = estimate_read(lambda ranges: in_draw_order(ranges)[::-1])
+        assert reversed_order == in_order
+        assert len(read[0]) == 4 and read[1] == read[0][::-1]
+        assert in_order.p_hat > 0.0
 
 
 

@@ -95,6 +95,11 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(sampling, "DRAW_BLOCK", BLOCK_ROWS)
 
 
+def in_draw_order(ranges):
+    """The ranges one blocks_u draw yielded, ordered by their offset in its batch array."""
+    return sorted(ranges, key=lambda r: r.__array_interface__["data"][0])
+
+
 def drawn_blocks(ri, n, stream):
     """The ranges blocks_u(n, stream) yields under small_blocks, by its contract:
     sample_u for the first fill, then the generator of stream.child(b) for block b >= 1."""
@@ -113,7 +118,7 @@ def test_blocks_u_concatenate_to_sample_u(dim, n, small_blocks):
     # each later block comes from its own generator
     ri = RandomInput((Normal(),) * dim)
     stream = SampleStream(17).child("blocks")
-    blocks = list(ri.blocks_u(n, stream))
+    blocks = in_draw_order(ri.blocks_u(n, stream))
     lengths = [min(FIRST_FILL, n)]  # the first fill covers DRAW_AHEAD blocks
     while sum(lengths) < n:
         lengths.append(min(BLOCK_ROWS, n - sum(lengths)))
@@ -160,12 +165,33 @@ def test_blocks_u_read_after_a_delay_equals_read_at_once(monkeypatch, threads_le
         return blocks, log
 
     at_once, log = draw(hold_first=True)
-    assert np.array_equal(np.concatenate(list(at_once)), expected)
+    assert np.array_equal(np.concatenate(in_draw_order(at_once)), expected)
     assert caller in log
     late, log = draw(hold_first=False)
     assert threads_left() == 0
-    assert np.array_equal(np.concatenate(list(late)), expected)
+    assert np.array_equal(np.concatenate(in_draw_order(late)), expected)
     assert len(log) == 7 and caller not in log
+
+
+def test_blocks_u_yields_a_block_drawn_here_before_the_first_fill(monkeypatch, threads_left,
+                                                                   small_blocks):
+    # with the worker held in the first fill, the caller draws the last queued
+    # block itself and reads it at once, without waiting for range 0
+    ri = RandomInput((Normal(),))
+    n = FIRST_FILL + 3 * BLOCK_ROWS + 5
+    stream = SampleStream(19).child("held")
+    expected = drawn_blocks(ri, n, stream)
+    shipped_rng, log, release = SampleStream.rng, [], threading.Event()
+    monkeypatch.setattr(SampleStream, "rng",
+                        lambda s: _TracedRng(shipped_rng(s), log, release, s == stream))
+    blocks = ri.blocks_u(n, stream)
+    monkeypatch.setattr(SampleStream, "rng", shipped_rng)
+    first = next(blocks)
+    assert log[0] == threading.get_ident()  # drawn here while fill 0 was held
+    assert np.array_equal(first, expected[-1])
+    read = [first, *blocks]
+    assert threads_left() == 0
+    assert np.array_equal(np.concatenate(in_draw_order(read)), np.concatenate(expected))
 
 
 def test_blocks_u_concurrent_draws_under_fast_switching(threads_left, small_blocks):
@@ -181,7 +207,7 @@ def test_blocks_u_concurrent_draws_under_fast_switching(threads_left, small_bloc
         for _ in range(20):
             draws = [ri.blocks_u(n, stream) for stream in streams]
             rounds = list(zip(*draws))  # one block of each draw at a time
-            read = [np.concatenate(blocks) for blocks in zip(*rounds)]
+            read = [np.concatenate(in_draw_order(blocks)) for blocks in zip(*rounds)]
             assert all(np.array_equal(a, b) for a, b in zip(read, expected))
     finally:
         sys.setswitchinterval(interval)
