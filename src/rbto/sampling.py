@@ -10,7 +10,8 @@ deviation and are moment-matched:
 
 A SampleStream's SeedSequence words are made once, with the stream (child()
 appends the new labels' words to its parent's), so rng(), called for every
-mini-batch of a run, encodes nothing.
+mini-batch draw of a run (one per refresh interval) and every draw block,
+encodes nothing.
 
 RandomInput.blocks_u draws a Monte Carlo batch into one array on two threads:
 a worker queues every fill at the start and exits after the last (nothing is

@@ -1,12 +1,16 @@
 """Penalized stochastic-gradient loop with periodic failure-probability refresh.
 
-Each iteration draws a fresh mini-batch of the uncertain input, checks the
+Each iteration takes a fresh mini-batch of the uncertain input, checks the
 exact limit state on the whole batch in one call (updating the
 failure-density model whenever a draw fails; a robust run, kappa_f 0, skips
 this check), then takes a projected step along the batch-mean objective
 gradient, from one objective_batch call, plus the failure penalty. Every
 iteration also records the exact expected objective at its design, a
-noise-free trace of whether the run settled.
+noise-free trace of whether the run settled. The mini-batches of span =
+min(m, max(1, DRAW_BLOCK // n)) iterations come from one draw, made at the
+span's first iteration k from the stream ("batch", k), and each iteration
+takes the next n rows: one generator per refresh interval when m * n <=
+DRAW_BLOCK, and no draw larger than max(n, DRAW_BLOCK) rows.
 
 The failure probability is re-estimated by a sampling estimator every m
 iterations. The penalty is driven by the log ratio s of estimate to allowable
@@ -40,7 +44,7 @@ from .reliability import (
     estimate,
     start_draw,
 )
-from .sampling import RandomInput, SampleStream
+from .sampling import DRAW_BLOCK, RandomInput, SampleStream
 
 
 class OptimizerError(RuntimeError):
@@ -163,6 +167,7 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
     ahead = (start_draw(problem.random_input, cfg.estimator, root.child("pf", cfg.m))
              if cfg.kappa_f > 0.0 and cfg.m <= iters else None)
     stale = True  # the penalty and ||beta|| change only with a refresh or a failure update
+    span = min(cfg.m, max(1, DRAW_BLOCK // cfg.n))  # iterations per mini-batch draw
     for k in range(1, iters + 1):
         try:
             if cfg.kappa_f > 0.0 and k % cfg.m == 0:
@@ -179,7 +184,11 @@ def run(problem: OptimizationProblem, cfg: OptimizerConfig) -> tuple[np.ndarray,
                 log_ratio = ratio if log_ratio is None else 0.5 * (log_ratio + ratio)
                 stale = True
 
-            batch = problem.random_input.sample(cfg.n, root.child("batch", k))
+            j = (k - 1) % span
+            if j == 0:
+                rows = problem.random_input.sample(min(span, iters - k + 1) * cfg.n,
+                                                   root.child("batch", k))
+            batch = rows[j * cfg.n :][: cfg.n]
             # a robust run (kappa_f 0) has no penalty for the failure-density model to steer
             if cfg.kappa_f > 0.0 and (problem.limit_state.batch(theta, batch) <= 0.0).any():
                 model = fd.update(model, [theta])

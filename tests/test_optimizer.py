@@ -16,7 +16,8 @@ from rbto.sgd import (
     stochastic_gradient,
 )
 from rbto import truss
-from rbto.fem import SolverError
+from rbto.fem import BeamConfig, BeamProblem, SolverError
+from rbto.sampling import DRAW_BLOCK
 
 U1 = RandomInput((Normal(),))
 
@@ -350,3 +351,76 @@ def test_draw_ahead_changes_no_result(monkeypatch, threads_left):
     for f in dataclasses.fields(sgd.RunHistory):
         a, b = getattr(shipped[1], f.name), getattr(undrawn[1], f.name)
         assert np.array_equal(a, b), f.name
+
+
+def recorded_batches(prob):
+    """Wrap prob.objective_batch to keep a copy of every batch it is handed."""
+    seen, inner = [], prob.objective_batch
+
+    def spy(theta, xis):
+        seen.append(xis.copy())
+        return inner(theta, xis)
+
+    prob.objective_batch = spy
+    return seen
+
+
+def span_batches(random_input, cfg, span):
+    """The batches of a run whose spans of `span` iterations draw at once:
+    the draw at each span's first iteration `start`, cut into n-row batches."""
+    root = SampleStream(cfg.seed)
+    batches = []
+    for start in range(1, cfg.iterations + 1, span):
+        count = min(span, cfg.iterations - start + 1)  # the last span may be short
+        batches.extend(np.split(random_input.sample(count * cfg.n, root.child("batch", start)), count))
+    return batches
+
+
+@pytest.mark.parametrize("make, over, span", [
+    # refreshes at 20 and 40 inside a run whose last span is 10 iterations
+    (truss.make_problem, dict(n=3, m=20, iterations=50, kappa_f=2500.0, eta=1e-5,
+                              estimator=McConfig(1000)), 20),
+    # n > DRAW_BLOCK // 2: every draw is one iteration's batch
+    (truss.make_problem, dict(n=DRAW_BLOCK // 2 + 1, m=5, iterations=3, eta=1e-5), 1),
+    (lambda: BeamProblem(BeamConfig(nx=12, ny=4)).make_problem(),
+     dict(n=4, m=3, iterations=8, kappa_f=1.0, eta=0.01, estimator=McConfig(200)), 3),
+], ids=["truss", "truss-span-1", "beam"])
+def test_minibatch_is_its_slice_of_the_span_draw(make, over, span):
+    prob = make()
+    seen = recorded_batches(prob)
+    cfg = small_config(**over)
+    run(prob, cfg)
+    expected = span_batches(prob.random_input, cfg, span)
+    assert len(seen) == len(expected) == cfg.iterations
+    for k, (got, want) in enumerate(zip(seen, expected), start=1):
+        assert np.array_equal(got, want), k
+
+
+@pytest.mark.parametrize("n, iterations, sizes", [
+    (1000, 70, [65_000, 5_000]),  # span DRAW_BLOCK // 1000 = 65
+    (DRAW_BLOCK + 1, 2, [DRAW_BLOCK + 1] * 2),  # span 1: one batch per draw
+], ids=["span-65", "span-1"])
+def test_minibatch_draw_is_capped(monkeypatch, n, iterations, sizes):
+    # m = 10**9 would be one span of the whole run without the cap
+    drawn, sample = [], RandomInput.sample
+
+    def spy(self, count, stream):
+        drawn.append(count)
+        return sample(self, count, stream)
+
+    monkeypatch.setattr(RandomInput, "sample", spy)
+    run(quadratic_problem(), small_config(n=n, m=10**9, iterations=iterations))
+    assert drawn == sizes
+    assert max(drawn) <= max(n, DRAW_BLOCK)
+
+
+def test_robust_truss_run_makes_one_generator_per_span(monkeypatch):
+    made, rng = [], SampleStream.rng
+
+    def spy(stream):
+        made.append(stream.path)
+        return rng(stream)
+
+    monkeypatch.setattr(SampleStream, "rng", spy)
+    run(truss.make_problem(), small_config(kappa_f=0.0, m=100, iterations=1000, eta=1e-5))
+    assert made == [("batch", k) for k in range(1, 1000, 100)]
